@@ -1,6 +1,10 @@
 package ahb
 
-import "fmt"
+import (
+	"fmt"
+
+	"ahbpower/internal/amba/wordmem"
+)
 
 // latched is an address phase captured by a slave.
 type latched struct {
@@ -18,8 +22,11 @@ type MemorySlave struct {
 
 	Waits int // wait states per data phase
 
-	mem      map[uint32]uint32
-	pending  *latched
+	mem wordmem.Memory
+	// pending is the latched address phase, valid while busy; one slot
+	// reused across transfers keeps the data path allocation-free.
+	pending  latched
+	busy     bool
 	waitLeft int
 
 	stats SlaveStats
@@ -40,16 +47,16 @@ func NewMemorySlave(b *Bus, idx, waitStates int) (*MemorySlave, error) {
 	if waitStates < 0 {
 		return nil, fmt.Errorf("ahb: negative wait states")
 	}
-	s := &MemorySlave{bus: b, idx: idx, ports: &b.S[idx], Waits: waitStates, mem: map[uint32]uint32{}}
+	s := &MemorySlave{bus: b, idx: idx, ports: &b.S[idx], Waits: waitStates}
 	b.K.MethodNoInit(fmt.Sprintf("%s.memslave%d", b.Cfg.Name, idx), s.tick, b.Clk.Posedge())
 	return s, nil
 }
 
 // Poke writes directly into the backing memory (for test setup).
-func (s *MemorySlave) Poke(addr, val uint32) { s.mem[addr>>2] = val }
+func (s *MemorySlave) Poke(addr, val uint32) { s.mem.Store(addr>>2, val) }
 
 // Peek reads directly from the backing memory.
-func (s *MemorySlave) Peek(addr uint32) uint32 { return s.mem[addr>>2] }
+func (s *MemorySlave) Peek(addr uint32) uint32 { return s.mem.Load(addr >> 2) }
 
 // Stats returns the slave's counters.
 func (s *MemorySlave) Stats() SlaveStats { return s.stats }
@@ -58,7 +65,7 @@ func (s *MemorySlave) tick() {
 	hready := s.bus.HReady.Read()
 
 	// Progress an ongoing data phase.
-	if s.pending != nil {
+	if s.busy {
 		if s.waitLeft > 0 {
 			s.waitLeft--
 			s.stats.Waits++
@@ -72,12 +79,12 @@ func (s *MemorySlave) tick() {
 		if hready {
 			// Data phase completed at this edge.
 			if s.pending.write {
-				s.mem[s.pending.addr>>2] = s.bus.HWdata.Read()
+				s.mem.Store(s.pending.addr>>2, s.bus.HWdata.Read())
 				s.stats.Writes++
 			} else {
 				s.stats.Reads++
 			}
-			s.pending = nil
+			s.busy = false
 		}
 	}
 
@@ -88,11 +95,12 @@ func (s *MemorySlave) tick() {
 	// Latch a new address phase if selected with an active transfer.
 	t := s.bus.HTrans.Read()
 	if s.bus.Sel[s.idx].Read() && (t == TransNonseq || t == TransSeq) {
-		s.pending = &latched{
+		s.pending = latched{
 			addr:  s.bus.HAddr.Read(),
 			write: s.bus.HWrite.Read(),
 			size:  s.bus.HSize.Read(),
 		}
+		s.busy = true
 		s.ports.Resp.Write(RespOkay)
 		if s.Waits > 0 {
 			s.waitLeft = s.Waits
@@ -110,7 +118,7 @@ func (s *MemorySlave) tick() {
 func (s *MemorySlave) finishPhase() {
 	s.ports.ReadyOut.Write(true)
 	if !s.pending.write {
-		s.ports.Rdata.Write(s.mem[s.pending.addr>>2])
+		s.ports.Rdata.Write(s.mem.Load(s.pending.addr >> 2))
 	}
 }
 
@@ -162,8 +170,9 @@ type RetrySlave struct {
 	ports   *slavePorts
 	Retries int // RETRYs issued per transfer before acceptance
 
-	mem      map[uint32]uint32
-	pending  *latched
+	mem      wordmem.Memory
+	pending  latched
+	busy     bool // pending holds an accepted data phase
 	tryCount int
 	twoCycle bool
 	Issued   uint64
@@ -174,13 +183,13 @@ func NewRetrySlave(b *Bus, idx, retries int) (*RetrySlave, error) {
 	if idx < 0 || idx >= b.Cfg.NumSlaves {
 		return nil, fmt.Errorf("ahb: slave index %d out of range", idx)
 	}
-	s := &RetrySlave{bus: b, idx: idx, ports: &b.S[idx], Retries: retries, mem: map[uint32]uint32{}}
+	s := &RetrySlave{bus: b, idx: idx, ports: &b.S[idx], Retries: retries}
 	b.K.MethodNoInit(fmt.Sprintf("%s.retryslave%d", b.Cfg.Name, idx), s.tick, b.Clk.Posedge())
 	return s, nil
 }
 
 // Peek reads directly from the backing memory.
-func (s *RetrySlave) Peek(addr uint32) uint32 { return s.mem[addr>>2] }
+func (s *RetrySlave) Peek(addr uint32) uint32 { return s.mem.Load(addr >> 2) }
 
 func (s *RetrySlave) tick() {
 	if !s.bus.HReady.Read() {
@@ -191,11 +200,11 @@ func (s *RetrySlave) tick() {
 		return
 	}
 	// Complete an accepted data phase.
-	if s.pending != nil && s.ports.Resp.Read() == RespOkay {
+	if s.busy && s.ports.Resp.Read() == RespOkay {
 		if s.pending.write {
-			s.mem[s.pending.addr>>2] = s.bus.HWdata.Read()
+			s.mem.Store(s.pending.addr>>2, s.bus.HWdata.Read())
 		}
-		s.pending = nil
+		s.busy = false
 	}
 	t := s.bus.HTrans.Read()
 	if s.bus.Sel[s.idx].Read() && (t == TransNonseq || t == TransSeq) {
@@ -208,14 +217,15 @@ func (s *RetrySlave) tick() {
 			return
 		}
 		s.tryCount = 0
-		s.pending = &latched{
+		s.pending = latched{
 			addr:  s.bus.HAddr.Read(),
 			write: s.bus.HWrite.Read(),
 		}
+		s.busy = true
 		s.ports.ReadyOut.Write(true)
 		s.ports.Resp.Write(RespOkay)
 		if !s.pending.write {
-			s.ports.Rdata.Write(s.mem[s.pending.addr>>2])
+			s.ports.Rdata.Write(s.mem.Load(s.pending.addr >> 2))
 		}
 	} else {
 		s.ports.ReadyOut.Write(true)
@@ -231,8 +241,9 @@ type SplitSlave struct {
 	ports      *slavePorts
 	HoldCycles int
 
-	mem      map[uint32]uint32
-	pending  *latched
+	mem      wordmem.Memory
+	pending  latched
+	busy     bool // pending holds an accepted data phase
 	twoCycle bool
 	holding  int // countdown to split resume
 	heldMask uint16
@@ -248,14 +259,14 @@ func NewSplitSlave(b *Bus, idx, holdCycles int) (*SplitSlave, error) {
 	if holdCycles < 1 {
 		holdCycles = 1
 	}
-	s := &SplitSlave{bus: b, idx: idx, ports: &b.S[idx], HoldCycles: holdCycles, mem: map[uint32]uint32{}}
+	s := &SplitSlave{bus: b, idx: idx, ports: &b.S[idx], HoldCycles: holdCycles}
 	b.WatchSplitResume(idx)
 	b.K.MethodNoInit(fmt.Sprintf("%s.splitslave%d", b.Cfg.Name, idx), s.tick, b.Clk.Posedge())
 	return s, nil
 }
 
 // Peek reads directly from the backing memory.
-func (s *SplitSlave) Peek(addr uint32) uint32 { return s.mem[addr>>2] }
+func (s *SplitSlave) Peek(addr uint32) uint32 { return s.mem.Load(addr >> 2) }
 
 func (s *SplitSlave) tick() {
 	// Count down the split hold and raise the resume mask.
@@ -276,11 +287,11 @@ func (s *SplitSlave) tick() {
 		}
 		return
 	}
-	if s.pending != nil && s.ports.Resp.Read() == RespOkay {
+	if s.busy && s.ports.Resp.Read() == RespOkay {
 		if s.pending.write {
-			s.mem[s.pending.addr>>2] = s.bus.HWdata.Read()
+			s.mem.Store(s.pending.addr>>2, s.bus.HWdata.Read())
 		}
-		s.pending = nil
+		s.busy = false
 	}
 	t := s.bus.HTrans.Read()
 	if s.bus.Sel[s.idx].Read() && (t == TransNonseq || t == TransSeq) {
@@ -298,14 +309,15 @@ func (s *SplitSlave) tick() {
 			return
 		}
 		s.primed = false
-		s.pending = &latched{
+		s.pending = latched{
 			addr:  s.bus.HAddr.Read(),
 			write: s.bus.HWrite.Read(),
 		}
+		s.busy = true
 		s.ports.ReadyOut.Write(true)
 		s.ports.Resp.Write(RespOkay)
 		if !s.pending.write {
-			s.ports.Rdata.Write(s.mem[s.pending.addr>>2])
+			s.ports.Rdata.Write(s.mem.Load(s.pending.addr >> 2))
 		}
 	} else {
 		s.ports.ReadyOut.Write(true)

@@ -1,9 +1,6 @@
 package ahb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Snapshot state for the bus components. Every struct here is plain
 // serializable data (JSON-friendly, exported fields only): capture walks
@@ -202,6 +199,13 @@ func (m *Master) RestoreState(st MasterState) error {
 		if op == nil {
 			return fmt.Errorf("ahb: BusyLeft captured with no current op on master %d", m.idx)
 		}
+		// An op without BusyBefore never had BUSY state to capture. The
+		// script may be shared read-only with other systems (generated
+		// traffic never carries BusyBefore), so a snapshot claiming
+		// otherwise is refused rather than written into it.
+		if op.BusyBefore == nil {
+			return fmt.Errorf("ahb: BusyLeft captured for an op without BusyBefore on master %d", m.idx)
+		}
 		op.BusyBefore = make(map[int]int, len(st.BusyLeft))
 		for k, v := range st.BusyLeft {
 			op.BusyBefore[k] = v
@@ -236,14 +240,13 @@ type MemorySlaveState struct {
 // CaptureState serializes the slave's dynamic state.
 func (s *MemorySlave) CaptureState() MemorySlaveState {
 	st := MemorySlaveState{WaitLeft: s.waitLeft, Stats: s.stats}
-	if len(s.mem) > 0 {
-		st.Mem = make([]MemCell, 0, len(s.mem))
-		for a, v := range s.mem {
+	if n := s.mem.Len(); n > 0 {
+		st.Mem = make([]MemCell, 0, n)
+		s.mem.Each(func(a, v uint32) {
 			st.Mem = append(st.Mem, MemCell{Addr: a, Val: v})
-		}
-		sort.Slice(st.Mem, func(i, j int) bool { return st.Mem[i].Addr < st.Mem[j].Addr })
+		})
 	}
-	if s.pending != nil {
+	if s.busy {
 		st.Pending = &LatchedState{Addr: s.pending.addr, Write: s.pending.write, Size: s.pending.size}
 	}
 	return st
@@ -251,13 +254,13 @@ func (s *MemorySlave) CaptureState() MemorySlaveState {
 
 // RestoreState writes a captured slave state back.
 func (s *MemorySlave) RestoreState(st MemorySlaveState) {
-	s.mem = make(map[uint32]uint32, len(st.Mem))
+	s.mem.Reset()
 	for _, c := range st.Mem {
-		s.mem[c.Addr] = c.Val
+		s.mem.Store(c.Addr, c.Val)
 	}
-	s.pending = nil
-	if st.Pending != nil {
-		s.pending = &latched{addr: st.Pending.Addr, write: st.Pending.Write, size: st.Pending.Size}
+	s.pending, s.busy = latched{}, false
+	if p := st.Pending; p != nil {
+		s.pending, s.busy = latched{addr: p.Addr, write: p.Write, size: p.Size}, true
 	}
 	s.waitLeft = st.WaitLeft
 	s.stats = st.Stats

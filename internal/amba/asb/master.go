@@ -1,6 +1,10 @@
 package asb
 
-import "fmt"
+import (
+	"fmt"
+
+	"ahbpower/internal/amba/wordmem"
+)
 
 // OpKind is the kind of a master operation.
 type OpKind uint8
@@ -200,8 +204,10 @@ type MemorySlave struct {
 	ports *slavePorts
 	Waits int
 
-	mem      map[uint32]uint32
-	pending  *asbLatched
+	mem wordmem.Memory
+	// pending is the latched address phase, valid while busy.
+	pending  asbLatched
+	busy     bool
 	waitLeft int
 }
 
@@ -218,19 +224,19 @@ func NewMemorySlave(b *Bus, idx, waits int) (*MemorySlave, error) {
 	if waits < 0 {
 		return nil, fmt.Errorf("asb: negative wait states")
 	}
-	s := &MemorySlave{bus: b, idx: idx, ports: &b.S[idx], Waits: waits, mem: map[uint32]uint32{}}
+	s := &MemorySlave{bus: b, idx: idx, ports: &b.S[idx], Waits: waits}
 	b.K.MethodNoInit(fmt.Sprintf("%s.memslave%d", b.Cfg.Name, idx), s.tick, b.Clk.Posedge())
 	return s, nil
 }
 
 // Poke writes directly into the backing memory.
-func (s *MemorySlave) Poke(addr, val uint32) { s.mem[addr>>2] = val }
+func (s *MemorySlave) Poke(addr, val uint32) { s.mem.Store(addr>>2, val) }
 
 // Peek reads directly from the backing memory.
-func (s *MemorySlave) Peek(addr uint32) uint32 { return s.mem[addr>>2] }
+func (s *MemorySlave) Peek(addr uint32) uint32 { return s.mem.Load(addr >> 2) }
 
 func (s *MemorySlave) tick() {
-	if s.pending != nil {
+	if s.busy {
 		if s.waitLeft > 0 {
 			s.waitLeft--
 			if s.waitLeft == 0 {
@@ -240,16 +246,16 @@ func (s *MemorySlave) tick() {
 		}
 		// Data phase completed at this edge.
 		if s.pending.write {
-			s.mem[s.pending.addr>>2] = s.bus.BD.Read()
+			s.mem.Store(s.pending.addr>>2, s.bus.BD.Read())
 		}
-		s.pending = nil
+		s.busy = false
 	}
 	if s.bus.BWait.Read() {
 		return
 	}
 	t := s.bus.BTran.Read()
 	if s.bus.Sel[s.idx].Read() && (t == TranNonSeq || t == TranSeq) {
-		s.pending = &asbLatched{addr: s.bus.BA.Read(), write: s.bus.BWrite.Read()}
+		s.pending, s.busy = asbLatched{addr: s.bus.BA.Read(), write: s.bus.BWrite.Read()}, true
 		if s.Waits > 0 {
 			s.waitLeft = s.Waits
 			s.ports.BWait.Write(true)
@@ -264,6 +270,6 @@ func (s *MemorySlave) tick() {
 func (s *MemorySlave) finish() {
 	s.ports.BWait.Write(false)
 	if !s.pending.write {
-		s.ports.BDOut.Write(s.mem[s.pending.addr>>2])
+		s.ports.BDOut.Write(s.mem.Load(s.pending.addr >> 2))
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/core"
 	"ahbpower/internal/fault"
+	"ahbpower/internal/workload"
 )
 
 // snapFP is the bit-exact fingerprint compared between an uninterrupted
@@ -212,5 +214,48 @@ func TestSnapshotCheckpointHook(t *testing.T) {
 	}
 	if got, want := twin.fingerprint(), control.fingerprint(); !reflect.DeepEqual(got, want) {
 		t.Errorf("hook-resumed run diverged from control:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestRestoreRefusesBusyLeftOnGeneratedScript: a checkpoint claiming
+// BUSY state for an op of a generated script (generated traffic never
+// carries BusyBefore) is rejected, and the script, which a batch may share
+// between systems, is left untouched.
+func TestRestoreRefusesBusyLeftOnGeneratedScript(t *testing.T) {
+	ct := core.PaperSystem().Topology()
+	scripts, err := workload.GenerateAll(ct.PaperTraffic(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() *core.System {
+		sys, err := core.NewSystemTopo(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.LoadScripts(scripts); err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	sys := build()
+	if err := sys.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := sys.CaptureSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Masters[0].BusyLeft = map[int]int{1: 2}
+	if err := build().RestoreSnapshot(snap); err == nil || !strings.Contains(err.Error(), "BusyBefore") {
+		t.Fatalf("restore with BusyLeft on a generated op: err = %v, want a BusyBefore refusal", err)
+	}
+	for m, seqs := range scripts {
+		for _, seq := range seqs {
+			for _, op := range seq.Ops {
+				if op.BusyBefore != nil {
+					t.Fatalf("master %d script gained a BusyBefore map %v", m, op.BusyBefore)
+				}
+			}
+		}
 	}
 }

@@ -206,40 +206,37 @@ func NewSystemTopo(t topo.Topology) (*System, error) {
 // LoadPaperWorkload loads every active master with the paper's testbench
 // traffic sized to roughly the requested total cycle count.
 func (s *System) LoadPaperWorkload(targetCycles uint64) error {
-	// Each sequence occupies ~50 transfer cycles plus tens of idle cycles;
-	// size the sequence count so the masters stay busy for the whole run.
-	perMaster := int(targetCycles)/100 + 2
-	base, size := s.Topo.AddrSpan()
-	for m, mm := range s.Masters {
-		cfg := workload.PaperTestbench(m, perMaster)
-		cfg.AddrBase, cfg.AddrSize = base, size
-		seqs, err := workload.Generate(cfg)
-		if err != nil {
-			return err
-		}
-		mm.Enqueue(seqs...)
-	}
-	return nil
+	return s.loadConfigs(s.Topo.PaperTraffic(targetCycles))
 }
 
 // LoadWorkload generates traffic from one configuration per active master
-// (missing entries reuse the last configuration with a shifted seed).
+// (missing entries reuse the last configuration with a shifted seed, see
+// workload.PerMaster).
 func (s *System) LoadWorkload(cfgs ...workload.Config) error {
 	if len(cfgs) == 0 {
 		return fmt.Errorf("core: no workload configurations")
 	}
-	for m, mm := range s.Masters {
-		cfg := cfgs[len(cfgs)-1]
-		if m < len(cfgs) {
-			cfg = cfgs[m]
-		} else {
-			cfg.Seed += int64(m) * 104729
-		}
-		seqs, err := workload.Generate(cfg)
-		if err != nil {
-			return err
-		}
-		mm.Enqueue(seqs...)
+	return s.loadConfigs(workload.PerMaster(cfgs, len(s.Masters)))
+}
+
+func (s *System) loadConfigs(cfgs []workload.Config) error {
+	scripts, err := workload.GenerateAll(cfgs)
+	if err != nil {
+		return err
+	}
+	return s.LoadScripts(scripts)
+}
+
+// LoadScripts enqueues already generated scripts, one per active master
+// in port order. The masters copy the sequence lists but not the ops, and
+// never write an op that has no BusyBefore map, so generated scripts can
+// be shared read-only between systems.
+func (s *System) LoadScripts(scripts [][]ahb.Sequence) error {
+	if len(scripts) != len(s.Masters) {
+		return fmt.Errorf("core: %d scripts for %d active masters", len(scripts), len(s.Masters))
+	}
+	for i, mm := range s.Masters {
+		mm.Enqueue(scripts[i]...)
 	}
 	return nil
 }

@@ -196,7 +196,7 @@ func TestRetryBackoffDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	start := time.Now()
-	res := r.runScenario(ctx, 0, sc)
+	res := r.runScenario(ctx, 0, sc, nil)
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("runScenario slept %v into a 30s backoff under a 2s deadline", elapsed)
 	}

@@ -265,17 +265,24 @@ func DefaultRunner() *Runner { return NewRunner(runtime.GOMAXPROCS(0)) }
 // and never abort the batch. Scenarios hinting the lane backend are
 // pre-grouped by structural compatibility and executed as bit-parallel
 // packs of up to 64 (see scheduleLanes); everything else is one job per
-// scenario. When ctx is cancelled, scenarios not yet started are
+// scenario. Traffic that several scenarios resolve to identically is
+// generated once and shared read-only among them for the duration of the
+// call (see traffic.go). When ctx is cancelled, scenarios not yet started are
 // abandoned promptly with Err = ctx.Err(), and scenarios already running
 // stop mid-simulation with the same error (see core.System.RunContext) —
 // for a lane pack, lanes that already retired keep their results.
 func (r *Runner) Run(ctx context.Context, scenarios []Scenario) []Result {
+	plan := scheduleLanes(scenarios)
+	return r.run(ctx, scenarios, plan, newScriptShare(scenarios, plan))
+}
+
+// run executes a scheduled batch with its traffic share.
+func (r *Runner) run(ctx context.Context, scenarios []Scenario, plan []runJob, share *scriptShare) []Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]Result, len(scenarios))
 	executed := make([]bool, len(scenarios))
-	plan := scheduleLanes(scenarios)
 	jobs := make(chan runJob)
 	var wg sync.WaitGroup
 	workers := r.Workers
@@ -298,8 +305,9 @@ func (r *Runner) Run(ctx context.Context, scenarios []Scenario) []Result {
 				if r.OnStart != nil {
 					r.OnStart(i)
 				}
-				results[i] = r.runScenario(ctx, i, scenarios[i])
+				results[i] = r.runScenario(ctx, i, scenarios[i], share)
 				executed[i] = true
+				share.release(i)
 				if r.OnDone != nil {
 					r.OnDone(results[i])
 				}
@@ -323,6 +331,7 @@ feed:
 		for i := range results {
 			if !executed[i] {
 				results[i] = Result{Index: i, Scenario: scenarios[i], Err: err}
+				share.release(i)
 			}
 		}
 	}
@@ -379,13 +388,14 @@ func RunOne(ctx context.Context, sc Scenario) Result {
 // attempt: fault-plan FailFirst failures and other transient errors come
 // back as-is; retrying is the Runner's job.
 func Execute(ctx context.Context, index int, sc Scenario) Result {
-	return executeAttempt(ctx, index, sc, 0)
+	return executeAttempt(ctx, index, sc, 0, nil)
 }
 
 // executeAttempt is Execute with an attempt number, so a fault plan's
 // FailFirst knob can fail early attempts and the retry loop can report
-// attempt counts.
-func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int) (res Result) {
+// attempt counts. Generated traffic comes from share (nil: generate
+// privately).
+func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int, share *scriptShare) (res Result) {
 	res = Result{Index: index, Scenario: sc, Attempts: attempt + 1}
 	defer func() {
 		if p := recover(); p != nil {
@@ -421,7 +431,7 @@ func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int) (r
 			reason = "checkpointing requested"
 		}
 		if reason == "" {
-			return executeTLMAttempt(ctx, index, sc, attempt)
+			return executeTLMAttempt(ctx, index, sc, attempt, share)
 		}
 		// Estimator-ineligible: run exactly, with the conservative
 		// fallback surfaced like a backend fallback.
@@ -486,16 +496,12 @@ func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int) (r
 		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 		return res
 	}
-	// Traffic resolution: explicit Workloads win, then the topology's
-	// per-master hints, then the paper workload sized to Cycles.
-	if len(sc.Workloads) > 0 {
-		err = sys.LoadWorkload(sc.Workloads...)
-	} else if hints, herr := sys.Topo.Workloads(); herr != nil {
-		err = herr
-	} else if len(hints) > 0 {
-		err = sys.LoadWorkload(hints...)
-	} else {
-		err = sys.LoadPaperWorkload(sc.Cycles)
+	cfgs, err := sys.Topo.Traffic(sc.Workloads, sc.Cycles)
+	if err == nil {
+		var scripts [][]ahb.Sequence
+		if scripts, err = share.scripts(index, cfgs); err == nil {
+			err = sys.LoadScripts(scripts)
+		}
 	}
 	if err != nil {
 		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)

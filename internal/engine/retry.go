@@ -180,11 +180,11 @@ func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
 // Scenarios that never started because the batch context was already done
 // keep the raw context error (matching the abandoned-scenario contract of
 // Run); every other failure comes back typed.
-func (r *Runner) runScenario(ctx context.Context, index int, sc Scenario) Result {
+func (r *Runner) runScenario(ctx context.Context, index int, sc Scenario, share *scriptShare) Result {
 	pol := r.Retry.normalized()
 	var rng *rand.Rand
 	for attempt := 0; ; attempt++ {
-		res := executeAttempt(ctx, index, sc, attempt)
+		res := executeAttempt(ctx, index, sc, attempt, share)
 		if res.Err == nil {
 			return res
 		}

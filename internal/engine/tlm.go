@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/metrics"
 	"ahbpower/internal/tlm"
+	"ahbpower/internal/workload"
 )
 
 // Accuracy classes a Scenario can request. Unlike backend hints, the
@@ -58,7 +60,7 @@ func (sc *Scenario) TLMTraits() tlm.Traits {
 
 // executeTLMAttempt runs one scenario through the transaction-level
 // estimator. The caller has already checked eligibility via TLMTraits.
-func executeTLMAttempt(ctx context.Context, index int, sc Scenario, attempt int) (res Result) {
+func executeTLMAttempt(ctx context.Context, index int, sc Scenario, attempt int, share *scriptShare) (res Result) {
 	res = Result{
 		Index:    index,
 		Scenario: sc,
@@ -84,7 +86,13 @@ func executeTLMAttempt(ctx context.Context, index int, sc Scenario, attempt int)
 		Workloads: sc.Workloads,
 		Cycles:    sc.Cycles,
 	}
-	out, err := tlm.Estimate(ctx, spec)
+	prep, err := tlm.PrepareWith(spec, func(cfgs []workload.Config) ([][]ahb.Sequence, error) {
+		return share.scripts(index, cfgs)
+	})
+	var out *tlm.Outcome
+	if err == nil {
+		out, err = prep.Estimate(ctx)
+	}
 	if err != nil {
 		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 		return res

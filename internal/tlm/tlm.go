@@ -76,9 +76,8 @@ type Spec struct {
 	// supplies the macromodels (characterized Models or structural
 	// defaults) the analytic expectations are derived from.
 	Analyzer core.AnalyzerConfig
-	// Workloads are the explicit per-master traffic configurations; when
-	// empty the topology's workload hints and then the paper testbench
-	// (sized to Cycles) apply, mirroring the engine's traffic resolution.
+	// Workloads are the explicit per-master traffic configurations,
+	// resolved by topo.Topology.Traffic like every other execution path.
 	Workloads []workload.Config
 	// Cycles is the bus-cycle horizon of the estimate.
 	Cycles uint64
@@ -184,8 +183,9 @@ func CalibrationPrefix(cycles uint64) uint64 {
 // Prepared is a Spec with its traffic resolved and scripts generated —
 // the estimation-ready form. The generated scripts are shared read-only
 // between the calibration prefix (the masters enqueue but never mutate
-// them) and the transaction walk, so each spec pays workload generation
-// exactly once, like the cycle-accurate path does.
+// them) and the transaction walk, so one preparation generates each
+// script at most once; PrepareWith lets a batch runner hand in scripts it
+// already generated for another scenario with the same traffic.
 type Prepared struct {
 	spec    Spec
 	ct      topo.Topology
@@ -198,6 +198,14 @@ type Prepared struct {
 // the allocation-heavy half of an estimate; Estimate on the result runs
 // the calibration prefix and the walk.
 func Prepare(spec Spec) (*Prepared, error) {
+	return PrepareWith(spec, workload.GenerateAll)
+}
+
+// PrepareWith is Prepare with the script source supplied by the caller:
+// scripts is called once, after validation, with the resolved
+// per-master configurations (topo.Topology.Traffic), and must return
+// their generated scripts in order. The returned scripts are only read.
+func PrepareWith(spec Spec, scripts func([]workload.Config) ([][]ahb.Sequence, error)) (*Prepared, error) {
 	if spec.Cycles == 0 {
 		return nil, fmt.Errorf("tlm: spec %q: Cycles must be positive", spec.Name)
 	}
@@ -205,19 +213,18 @@ func Prepare(spec Spec) (*Prepared, error) {
 	if err := topo.Check(ct); err != nil {
 		return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, err)
 	}
-	cfgs, err := resolveConfigs(&ct, spec.Workloads, spec.Cycles)
+	cfgs, err := ct.Traffic(spec.Workloads, spec.Cycles)
 	if err != nil {
 		return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, err)
 	}
-	scripts := make([][]ahb.Sequence, 0, len(cfgs))
-	for _, cfg := range cfgs {
-		seqs, gerr := workload.Generate(cfg)
-		if gerr != nil {
-			return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, gerr)
-		}
-		scripts = append(scripts, seqs)
+	seqs, err := scripts(cfgs)
+	if err != nil {
+		return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, err)
 	}
-	return &Prepared{spec: spec, ct: ct, cfgs: cfgs, scripts: scripts}, nil
+	if len(seqs) != len(cfgs) {
+		return nil, fmt.Errorf("tlm: spec %q: %d scripts for %d active masters", spec.Name, len(seqs), len(cfgs))
+	}
+	return &Prepared{spec: spec, ct: ct, cfgs: cfgs, scripts: seqs}, nil
 }
 
 // Estimate runs the calibrated transaction-level estimation for a
@@ -275,11 +282,8 @@ func runPrefix(ctx context.Context, ct topo.Topology, az core.AnalyzerConfig,
 	if err != nil {
 		return m, "", err
 	}
-	if len(sys.Masters) != len(scripts) {
-		return m, "", fmt.Errorf("tlm: %d active masters but %d scripts", len(sys.Masters), len(scripts))
-	}
-	for i, mm := range sys.Masters {
-		mm.Enqueue(scripts[i]...)
+	if err := sys.LoadScripts(scripts); err != nil {
+		return m, "", err
 	}
 	an, err := core.Attach(sys, az)
 	if err != nil {
@@ -303,47 +307,4 @@ func runPrefix(ctx context.Context, ct topo.Topology, az core.AnalyzerConfig,
 	}
 	m.total = an.FSM().TotalEnergy()
 	return m, backend.Name(), nil
-}
-
-// resolveConfigs expands a scenario's traffic sources into one
-// workload.Config per active master, mirroring the engine's resolution
-// order (explicit Workloads, then topology hints, then the paper
-// testbench sized to the horizon) and core.System.LoadWorkload's
-// fill-with-shifted-seed semantics, so the walk scripts describe exactly
-// the traffic the cycle-accurate path would drive.
-func resolveConfigs(ct *topo.Topology, explicit []workload.Config, cycles uint64) ([]workload.Config, error) {
-	n := ct.ActiveMasters()
-	if n == 0 {
-		return nil, fmt.Errorf("topology has no active masters")
-	}
-	src := explicit
-	if len(src) == 0 {
-		hints, err := ct.Workloads()
-		if err != nil {
-			return nil, err
-		}
-		src = hints
-	}
-	out := make([]workload.Config, n)
-	if len(src) == 0 {
-		// Paper testbench sized to the horizon, as LoadPaperWorkload does.
-		perMaster := int(cycles)/100 + 2
-		base, size := ct.AddrSpan()
-		for m := 0; m < n; m++ {
-			cfg := workload.PaperTestbench(m, perMaster)
-			cfg.AddrBase, cfg.AddrSize = base, size
-			out[m] = cfg
-		}
-		return out, nil
-	}
-	for m := 0; m < n; m++ {
-		cfg := src[len(src)-1]
-		if m < len(src) {
-			cfg = src[m]
-		} else {
-			cfg.Seed += int64(m) * 104729
-		}
-		out[m] = cfg
-	}
-	return out, nil
 }

@@ -383,6 +383,47 @@ func (t *Topology) Workloads() ([]workload.Config, error) {
 	return out, nil
 }
 
+// Traffic resolves a scenario's traffic into exactly one workload
+// configuration per active master, in port order. This is the one
+// resolution rule every execution path (cycle-accurate, transaction-level,
+// lane) follows: explicit configurations win, then the topology's
+// per-master hints, then the paper testbench sized to cycles
+// (PaperTraffic); a list shorter than the active-master count is filled
+// by workload.PerMaster.
+func (t *Topology) Traffic(explicit []workload.Config, cycles uint64) ([]workload.Config, error) {
+	n := t.ActiveMasters()
+	if n == 0 {
+		return nil, fmt.Errorf("topo: topology has no active masters")
+	}
+	src := explicit
+	if len(src) == 0 {
+		hints, err := t.Workloads()
+		if err != nil {
+			return nil, err
+		}
+		src = hints
+	}
+	if len(src) == 0 {
+		return t.PaperTraffic(cycles), nil
+	}
+	return workload.PerMaster(src, n), nil
+}
+
+// PaperTraffic returns the paper testbench traffic of every active master,
+// sized so the masters stay busy for about cycles bus cycles (each
+// sequence occupies ~50 transfer cycles plus tens of idle cycles) and
+// spread over the topology's mapped address span.
+func (t *Topology) PaperTraffic(cycles uint64) []workload.Config {
+	perMaster := int(cycles)/100 + 2
+	base, size := t.AddrSpan()
+	out := make([]workload.Config, t.ActiveMasters())
+	for m := range out {
+		out[m] = workload.PaperTestbench(m, perMaster)
+		out[m].AddrBase, out[m].AddrSize = base, size
+	}
+	return out
+}
+
 // Load parses a topology from JSON, rejecting unknown fields so typos in
 // hand-written files fail loudly instead of silently meaning defaults.
 func Load(data []byte) (*Topology, error) {

@@ -140,9 +140,12 @@ func Generate(cfg Config) ([]ahb.Sequence, error) {
 		}
 		pairs := cfg.PairsMin + rng.Intn(cfg.PairsMax-cfg.PairsMin+1)
 		ops := make([]ahb.Op, 0, 2*pairs)
+		// One write-data backing array per sequence; each write gets a
+		// cap-limited window of it, so no op can append into its neighbor.
+		buf := make([]uint32, pairs*beats)
 		for p := 0; p < pairs; p++ {
 			addr := window.randAddr(rng, beats)
-			data := make([]uint32, beats)
+			data := buf[p*beats : (p+1)*beats : (p+1)*beats]
 			for b := range data {
 				data[b] = gen.next()
 			}
@@ -158,6 +161,36 @@ func Generate(cfg Config) ([]ahb.Sequence, error) {
 		seqs = append(seqs, ahb.Sequence{Ops: ops, IdleAfter: idle})
 	}
 	return seqs, nil
+}
+
+// GenerateAll generates one script per configuration, in order.
+func GenerateAll(cfgs []Config) ([][]ahb.Sequence, error) {
+	scripts := make([][]ahb.Sequence, len(cfgs))
+	for i, cfg := range cfgs {
+		seqs, err := Generate(cfg)
+		if err != nil {
+			return nil, err
+		}
+		scripts[i] = seqs
+	}
+	return scripts, nil
+}
+
+// PerMaster expands cfgs to exactly one configuration per master for n
+// masters: master m takes cfgs[m], and masters beyond the list reuse the
+// last configuration with its seed shifted by m*104729, so they draw
+// independent traffic. cfgs must not be empty.
+func PerMaster(cfgs []Config, n int) []Config {
+	out := make([]Config, n)
+	for m := range out {
+		if m < len(cfgs) {
+			out[m] = cfgs[m]
+			continue
+		}
+		out[m] = cfgs[len(cfgs)-1]
+		out[m].Seed += int64(m) * 104729
+	}
+	return out
 }
 
 // randAddr draws a word-aligned address such that a burst of the given
