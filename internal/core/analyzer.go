@@ -82,6 +82,9 @@ type Analyzer struct {
 	s2m *power.MuxModel
 	arb *power.ArbiterModel
 
+	// Per-cycle clock energies of the two muxes, constant for a run.
+	m2sClk, s2mClk float64
+
 	fsm      *power.FSM
 	bd       power.Breakdown
 	activity *power.Activity
@@ -144,19 +147,21 @@ func Attach(sys *System, cfg AnalyzerConfig) (*Analyzer, error) {
 	} else if err := models.Validate(); err != nil {
 		return nil, err
 	} else {
-		// The macromodels memoize energies in place; clone user-supplied
-		// models so concurrent runs sharing one characterized Models value
-		// never share mutable memo state.
+		// Clone user-supplied models: the run prices every cycle from the
+		// coefficients it attached with, even if the caller refits its
+		// Models value while the run is in flight.
 		models = models.Clone()
 	}
 	a := &Analyzer{
-		cfg: cfg,
-		sys: sys,
-		dec: models.Dec,
-		m2s: models.M2S,
-		s2m: models.S2M,
-		arb: models.Arb,
-		fsm: power.NewFSM(),
+		cfg:    cfg,
+		sys:    sys,
+		dec:    models.Dec,
+		m2s:    models.M2S,
+		s2m:    models.S2M,
+		arb:    models.Arb,
+		m2sClk: models.M2S.ClockEnergy(),
+		s2mClk: models.S2M.ClockEnergy(),
+		fsm:    power.NewFSM(),
 	}
 	a.cfg.Tech = tech
 	if cfg.TraceWindow > 0 {
@@ -337,8 +342,8 @@ func (a *Analyzer) ObserveCycle(ci ahb.CycleInfo) {
 		}
 
 		eDEC = a.dec.Energy(hdDec)
-		eM2S = a.m2s.Energy(m2sIn, hdM2SSel, m2sOut) + a.m2s.ClockEnergy()
-		eS2M = a.s2m.Energy(s2mIn, hdS2MSel, s2mOut) + a.s2m.ClockEnergy()
+		eM2S = a.m2s.Energy(m2sIn, hdM2SSel, m2sOut) + a.m2sClk
+		eS2M = a.s2m.Energy(s2mIn, hdS2MSel, s2mOut) + a.s2mClk
 		eARB = a.arb.Energy(hdReq, hdGrant, ci.Handover, state == power.IdleHO)
 	}
 
@@ -363,7 +368,7 @@ func (a *Analyzer) ObserveCycle(ci ahb.CycleInfo) {
 	a.fsm.Step(state, total)
 	if a.dpm != nil {
 		// Only the clock-tree component is gateable; see DPMConfig.
-		a.dpm.observe(state, a.m2s.ClockEnergy()+a.s2m.ClockEnergy())
+		a.dpm.observe(state, a.m2sClk+a.s2mClk)
 	}
 
 	if a.tTotal != nil {

@@ -44,9 +44,8 @@ func DefaultModels(numMasters, numSlaves, dataWidth int, tech Tech) (*Models, er
 	return &Models{Dec: dec, M2S: m2s, S2M: s2m, Arb: arb}, nil
 }
 
-// Clone returns a deep copy of the model set. The macromodels carry
-// per-instance memoization state that Energy fills in place, so a shared
-// Models value must be cloned before being attached to concurrent runs;
+// Clone returns a deep copy of the model set, so a run can keep pricing
+// with the coefficients it started from while the original is refitted;
 // core.Attach does this automatically.
 func (m *Models) Clone() *Models {
 	c := &Models{}

@@ -56,8 +56,6 @@ func newExpecter(ct *topo.Topology, az core.AnalyzerConfig, cfgs []workload.Conf
 			panic(err)
 		}
 		models = m
-	} else {
-		models = models.Clone()
 	}
 	hdData := 0.0
 	if len(cfgs) > 0 {
@@ -67,7 +65,7 @@ func newExpecter(ct *topo.Topology, az core.AnalyzerConfig, cfgs []workload.Conf
 		hdData /= float64(len(cfgs))
 	}
 
-	// The models memoize integer HDs; round the expected values once.
+	// The models take integer HDs; round the expected values once.
 	hdW := int(hdData + 0.5) // write-data flips per write beat
 	dec, m2s, s2m, arb := models.Dec, models.M2S, models.S2M, models.Arb
 	m2sClk, s2mClk := m2s.ClockEnergy(), s2m.ClockEnergy()
