@@ -50,7 +50,7 @@ func main() {
 	drainGrace := flag.Duration("drain-grace", 15*time.Second, "time in-flight batches may finish after SIGTERM before cancellation")
 	degradeAt := flag.Float64("degrade-at", 0.75, "queue-pressure fraction that enters degraded mode (negative disables)")
 	retries := flag.Int("retries", 2, "execution attempts per scenario for transient failures (1 disables retry)")
-	backend := flag.String("backend", "", "default execution backend for requests that don't pick one: event, compiled, lanes or auto")
+	backend := flag.String("backend", "", "default execution backend for requests that don't pick one: event, compiled or auto")
 	accuracy := flag.String("accuracy", "", "default accuracy class for requests that don't pick one: cycle (exact) or transaction (calibrated estimate; part of the cache key)")
 	degradeEstimate := flag.Bool("degrade-estimate", false, "under queue pressure, downgrade eligible cycle-accuracy scenarios to the transaction-level estimate instead of just shedding options (approximate answers; opt-in)")
 	stateDir := flag.String("state-dir", "", "directory for the durable job journal, disk result cache and scenario checkpoints; a daemon restarted on the same directory recovers interrupted jobs (empty: in-memory only)")
@@ -59,7 +59,7 @@ func main() {
 
 	logger := log.New(os.Stderr, "ahbserved: ", log.LstdFlags)
 	if !exec.ValidName(*backend) {
-		logger.Fatalf("unknown -backend %q (want event, compiled, lanes or auto)", *backend)
+		logger.Fatalf("unknown -backend %q (want event, compiled or auto)", *backend)
 	}
 	if !engine.ValidAccuracy(*accuracy) {
 		logger.Fatalf("unknown -accuracy %q (want cycle or transaction)", *accuracy)

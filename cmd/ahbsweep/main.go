@@ -35,13 +35,13 @@ func main() {
 	faultsFile := flag.String("faults", "", "inject faults from this JSON plan file into every configuration (see internal/fault)")
 	out := flag.String("o", "", "output file (default stdout)")
 	showMetrics := flag.Bool("metrics", false, "print batch run metrics (throughput, utilization, latency) to stderr")
-	backend := flag.String("backend", "", "execution backend for every configuration: event, compiled, lanes or auto (results are identical either way)")
+	backend := flag.String("backend", "", "execution backend for every configuration: event, compiled or auto (results are identical either way)")
 	accuracy := flag.String("accuracy", "", "accuracy class for every configuration: cycle (exact, default) or transaction (calibrated transaction-level estimate, ~10x faster)")
 	topoFile := flag.String("topology", "", "sweep from this declarative topology JSON file instead of the paper base (-widths/-waits/-policies still apply per point; -slaves does not: the address map fixes the slave count)")
 	flag.Parse()
 
 	if !exec.ValidName(*backend) {
-		fatal(fmt.Errorf("unknown -backend %q (want event, compiled, lanes or auto)", *backend))
+		fatal(fmt.Errorf("unknown -backend %q (want event, compiled or auto)", *backend))
 	}
 	if !engine.ValidAccuracy(*accuracy) {
 		fatal(fmt.Errorf("unknown -accuracy %q (want cycle or transaction)", *accuracy))

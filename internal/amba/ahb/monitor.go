@@ -137,15 +137,6 @@ func NewMonitor(b *Bus) *Monitor {
 	return m
 }
 
-// NewDetachedMonitor creates a protocol monitor that is not subscribed to
-// any bus: the caller feeds it CycleInfo records directly via
-// ObserveCycle. The checking rules only look at the cycle stream, so a
-// detached monitor is interchangeable with an attached one — the lane
-// backend uses this to referee each lane's reconstructed cycle stream.
-func NewDetachedMonitor() *Monitor {
-	return &Monitor{}
-}
-
 // Errors returns the violations detected so far.
 func (m *Monitor) Errors() []ProtocolError { return m.errs }
 

@@ -137,8 +137,8 @@ func TestFitString(t *testing.T) {
 	}
 }
 
-func TestFitBusModels(t *testing.T) {
-	m, err := FitBusModels(3, 3, 32, 1500, 21, tech())
+func TestCharacterizeBusModels(t *testing.T) {
+	m, err := Characterize(Config{NumMasters: 3, NumSlaves: 3, DataWidth: 32, Vectors: 1500, Seed: 21, Tech: tech()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestFitBusModels(t *testing.T) {
 	}
 }
 
-func TestFitBusModelsRoundTripThroughJSON(t *testing.T) {
-	m, err := FitBusModels(2, 2, 32, 800, 5, tech())
+func TestCharacterizeRoundTripThroughJSON(t *testing.T) {
+	m, err := Characterize(Config{NumMasters: 2, NumSlaves: 2, DataWidth: 32, Vectors: 800, Seed: 5, Tech: tech()})
 	if err != nil {
 		t.Fatal(err)
 	}

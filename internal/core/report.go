@@ -66,8 +66,7 @@ type ReportTraces struct {
 // BuildReport assembles a Report from finalized accumulator state: the
 // instruction-FSM stats, the block breakdown and the optional trace
 // windowers. It is the single Report constructor shared by the analyzer
-// and by the lane backend (which keeps its own FSM/breakdown accumulators
-// but must produce structurally identical reports).
+// and the transaction-level estimator.
 func BuildReport(style Style, period sim.Time, cycles uint64, totalEnergy float64,
 	sts []power.InstructionStat, bd *power.Breakdown, traces *ReportTraces) *Report {
 	r := &Report{

@@ -117,8 +117,8 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 
 // TestCheckpointFallbacks verifies the surfaced-reason contract for every
 // route that cannot checkpoint: ineligible analyzers run without
-// snapshots, and the lanes/TLM executors fall back to cycle-accurate
-// backends.
+// snapshots, and the TLM estimator falls back to a cycle-accurate
+// backend.
 func TestCheckpointFallbacks(t *testing.T) {
 	base := Scenario{
 		Name:     "ckpt-fallback",
@@ -149,19 +149,6 @@ func TestCheckpointFallbacks(t *testing.T) {
 		sc.Checkpoint = &CheckpointConfig{Resume: []byte("{}")}
 		if res := RunOne(context.Background(), sc); res.Err == nil {
 			t.Error("resuming an ineligible scenario must fail")
-		}
-	})
-	t.Run("lanes-fallback", func(t *testing.T) {
-		sc := base
-		sc.Backend = exec.NameLanes
-		sc.Checkpoint = &CheckpointConfig{Save: noopSave}
-		res := RunOne(context.Background(), sc)
-		if res.Err != nil {
-			t.Fatalf("run: %v", res.Err)
-		}
-		if res.Backend == "lanes" || res.BackendFallback == "" {
-			t.Errorf("lanes + checkpoint: backend %q, fallback %q; want cycle backend with surfaced reason",
-				res.Backend, res.BackendFallback)
 		}
 	})
 	t.Run("tlm-fallback", func(t *testing.T) {

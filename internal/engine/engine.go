@@ -76,17 +76,14 @@ type Scenario struct {
 	// scenario fails with a timeout-classed error; timeouts are never
 	// retried (a deterministic simulation would only time out again).
 	Timeout time.Duration
-	// Backend is an execution hint: "", "event", "compiled", "auto" or
-	// "lanes" (see internal/exec). It selects how cycles are advanced,
-	// never what they compute — results are bit-identical across backends
-	// — so it is deliberately excluded from CanonicalKey and a cached
-	// result answers the scenario regardless of the backend that produced
-	// it. A "compiled"/"auto" hint falls back to the event backend, with
-	// the reason surfaced in Result.BackendFallback, when the scenario
-	// uses features the compiled stepper cannot honor; a "lanes" hint
-	// does the same, and additionally lets Runner batches pack the
-	// scenario into a bit-parallel lane execution with other structurally
-	// compatible lanes-hinted scenarios (see internal/lane).
+	// Backend is an execution hint: "", "event", "compiled" or "auto"
+	// (see internal/exec). It selects how cycles are advanced, never what
+	// they compute — results are bit-identical across backends — so it is
+	// deliberately excluded from CanonicalKey and a cached result answers
+	// the scenario regardless of the backend that produced it. A
+	// "compiled"/"auto" hint falls back to the event backend, with the
+	// reason surfaced in Result.BackendFallback, when the scenario uses
+	// features the compiled stepper cannot honor.
 	Backend string
 	// Accuracy selects the result-accuracy class: "" or "cycle" for the
 	// exact cycle-accurate simulation (the default), "transaction" for
@@ -104,9 +101,9 @@ type Scenario struct {
 	// CheckpointConfig). Like Backend it is an execution detail — a
 	// resumed run is bit-identical to an uninterrupted one — so it is
 	// excluded from CanonicalKey. Checkpointing needs per-scenario
-	// kernel state, which the pack (lanes) and transaction-level
-	// executors do not carry, so checkpoint-requesting scenarios route
-	// to a cycle-accurate backend with the reason surfaced.
+	// kernel state, which the transaction-level estimator does not
+	// carry, so checkpoint-requesting scenarios route to a
+	// cycle-accurate backend with the reason surfaced.
 	Checkpoint *CheckpointConfig
 }
 
@@ -179,13 +176,13 @@ type Result struct {
 	// before starting.
 	Attempts int
 	// Backend is the execution backend that actually ran the scenario
-	// ("event", "compiled" or "lanes"). Empty for scenarios that never
+	// ("event" or "compiled"). Empty for scenarios that never
 	// reached execution. An execution detail, not part of the result
 	// identity: supported scenarios produce bit-identical results on
 	// every backend.
 	Backend string
-	// BackendFallback is the surfaced reason the compiled or lane backend
-	// was requested but the event backend ran instead, or the reason a
+	// BackendFallback is the surfaced reason the compiled backend was
+	// requested but the event backend ran instead, or the reason a
 	// transaction-accuracy request conservatively ran cycle-accurate
 	// (prefixed "transaction accuracy:"); empty when no fallback happened.
 	BackendFallback string
@@ -193,9 +190,6 @@ type Result struct {
 	// AccuracyCycle for the exact paths (including conservative fallbacks
 	// from a transaction request), AccuracyTransaction for estimates.
 	Accuracy string
-	// Lanes is the occupancy of the lane pack that executed the scenario
-	// (1 for a single-lane run); zero when another backend ran it.
-	Lanes int
 	// CheckpointFallback is the surfaced reason checkpointing was
 	// requested but the scenario ran without it (Setup hook, DPM,
 	// streaming analyzer consumers); empty when checkpointing ran or was
@@ -262,46 +256,37 @@ func DefaultRunner() *Runner { return NewRunner(runtime.GOMAXPROCS(0)) }
 // input order. Each scenario is built and simulated in isolation (own
 // kernel, bus, masters, slaves, analyzer), so scenarios run concurrently
 // without shared state; per-scenario failures are captured in Result.Err
-// and never abort the batch. Scenarios hinting the lane backend are
-// pre-grouped by structural compatibility and executed as bit-parallel
-// packs of up to 64 (see scheduleLanes); everything else is one job per
-// scenario. Traffic that several scenarios resolve to identically is
-// generated once and shared read-only among them for the duration of the
-// call (see traffic.go). When ctx is cancelled, scenarios not yet started are
-// abandoned promptly with Err = ctx.Err(), and scenarios already running
-// stop mid-simulation with the same error (see core.System.RunContext) —
-// for a lane pack, lanes that already retired keep their results.
+// and never abort the batch. Traffic that several scenarios resolve to
+// identically is generated once and shared read-only among them for the
+// duration of the call (see traffic.go). When ctx is cancelled, scenarios
+// not yet started are abandoned promptly with Err = ctx.Err(), and
+// scenarios already running stop mid-simulation with the same error (see
+// core.System.RunContext).
 func (r *Runner) Run(ctx context.Context, scenarios []Scenario) []Result {
-	plan := scheduleLanes(scenarios)
-	return r.run(ctx, scenarios, plan, newScriptShare(scenarios, plan))
+	return r.run(ctx, scenarios, newScriptShare(scenarios))
 }
 
-// run executes a scheduled batch with its traffic share.
-func (r *Runner) run(ctx context.Context, scenarios []Scenario, plan []runJob, share *scriptShare) []Result {
+// run executes a batch with its traffic share.
+func (r *Runner) run(ctx context.Context, scenarios []Scenario, share *scriptShare) []Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]Result, len(scenarios))
 	executed := make([]bool, len(scenarios))
-	jobs := make(chan runJob)
+	jobs := make(chan int)
 	var wg sync.WaitGroup
 	workers := r.Workers
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(plan) {
-		workers = len(plan)
+	if workers > len(scenarios) {
+		workers = len(scenarios)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for job := range jobs {
-				if job.pack != nil {
-					r.runPack(ctx, scenarios, job.pack, results, executed)
-					continue
-				}
-				i := job.index
+			for i := range jobs {
 				if r.OnStart != nil {
 					r.OnStart(i)
 				}
@@ -316,11 +301,10 @@ func (r *Runner) run(ctx context.Context, scenarios []Scenario, plan []runJob, s
 	}
 	// Feed jobs until done or cancelled; abandoned scenarios are marked
 	// below, after the channel closes.
-	next := 0
 feed:
-	for ; next < len(plan); next++ {
+	for i := range scenarios {
 		select {
-		case jobs <- plan[next]:
+		case jobs <- i:
 		case <-ctx.Done():
 			break feed
 		}
@@ -437,23 +421,6 @@ func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int, sh
 		// fallback surfaced like a backend fallback.
 		tlmFallback = "transaction accuracy: " + reason
 	}
-	hint := sc.Backend
-	var laneFallback string
-	if hint == exec.NameLanes {
-		reason := sc.LaneTraits().Unsupported()
-		if reason == "" && sc.Checkpoint != nil {
-			// A lane pack interleaves up to 64 scenarios in one kernel;
-			// there is no per-scenario state to snapshot.
-			reason = "checkpointing requested"
-		}
-		if reason == "" && tlmFallback == "" {
-			return executeLaneAttempt(ctx, index, sc, attempt)
-		}
-		// Lane-ineligible: run on the reference backend with the reason
-		// surfaced, mirroring the compiled backend's fallback contract.
-		laneFallback = reason
-		hint = exec.NameEvent
-	}
 	// Checkpoint eligibility: ineligible scenarios run to completion
 	// without snapshots (reason surfaced); resuming an ineligible
 	// scenario would silently drop state, so that is an error instead.
@@ -466,7 +433,7 @@ func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int, sh
 		res.CheckpointFallback = reason
 		ckpt = nil
 	}
-	backend, fallback, err := exec.Select(hint, sc.ExecTraits())
+	backend, fallback, err := exec.Select(sc.Backend, sc.ExecTraits())
 	if err != nil {
 		res.Err = fmt.Errorf("engine: scenario %q: %w", sc.Name, err)
 		return res
@@ -474,9 +441,6 @@ func executeAttempt(ctx context.Context, index int, sc Scenario, attempt int, sh
 	res.Backend = backend.Name()
 	res.Accuracy = AccuracyCycle
 	res.BackendFallback = fallback
-	if laneFallback != "" {
-		res.BackendFallback = laneFallback
-	}
 	if tlmFallback != "" {
 		res.BackendFallback = tlmFallback
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ahbpower/internal/core"
-	"ahbpower/internal/exec"
 	"ahbpower/internal/fault"
 	"ahbpower/internal/tlm"
 )
@@ -125,30 +124,6 @@ func TestInvalidAccuracyRejected(t *testing.T) {
 	res := RunOne(context.Background(), sc)
 	if res.Err == nil || !strings.Contains(res.Err.Error(), "accuracy") {
 		t.Fatalf("Err = %v, want an unknown-accuracy error", res.Err)
-	}
-}
-
-// TestTransactionAccuracyNotLanePacked checks the runner never packs
-// transaction-accuracy scenarios into lane executions: the estimator (or
-// its cycle fallback) owns them.
-func TestTransactionAccuracyNotLanePacked(t *testing.T) {
-	scs := make([]Scenario, 4)
-	for i := range scs {
-		scs[i] = tlmScenario("pack")
-		scs[i].Backend = exec.NameLanes
-	}
-	r := &Runner{Workers: 2}
-	results := r.Run(context.Background(), scs)
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("scenario %d: %v", i, res.Err)
-		}
-		if res.Lanes != 0 {
-			t.Errorf("scenario %d ran in a lane pack (lanes=%d)", i, res.Lanes)
-		}
-		if res.Backend != tlm.Name {
-			t.Errorf("scenario %d: Backend = %q, want %q", i, res.Backend, tlm.Name)
-		}
 	}
 }
 

@@ -55,10 +55,9 @@ type sharedScripts struct {
 }
 
 // newScriptShare is the pre-dispatch pass: it resolves the traffic of
-// every per-scenario job of the plan (lane packs generate their own),
-// counts the users of each distinct traffic set and creates an entry for
-// every set with two or more users.
-func newScriptShare(scenarios []Scenario, plan []runJob) *scriptShare {
+// every scenario, counts the users of each distinct traffic set and
+// creates an entry for every set with two or more users.
+func newScriptShare(scenarios []Scenario) *scriptShare {
 	s := &scriptShare{
 		byIndex: make([]*sharedScripts, len(scenarios)),
 		entries: make(map[string]*sharedScripts),
@@ -66,9 +65,9 @@ func newScriptShare(scenarios []Scenario, plan []runJob) *scriptShare {
 	keys := make([]string, len(scenarios))
 	cfgs := make([][]workload.Config, len(scenarios))
 	users := make(map[string]int)
-	for _, job := range plan {
-		sc := &scenarios[job.index]
-		if job.pack != nil || sc.Setup != nil || sc.KeepSystem {
+	for i := range scenarios {
+		sc := &scenarios[i]
+		if sc.Setup != nil || sc.KeepSystem {
 			continue
 		}
 		ct := sc.Topology()
@@ -76,8 +75,8 @@ func newScriptShare(scenarios []Scenario, plan []runJob) *scriptShare {
 		if err != nil {
 			continue // the scenario reports the error when it runs
 		}
-		keys[job.index], cfgs[job.index] = trafficKey(c), c
-		users[keys[job.index]]++
+		keys[i], cfgs[i] = trafficKey(c), c
+		users[keys[i]]++
 	}
 	for i, k := range keys {
 		if k == "" || users[k] < 2 {

@@ -28,9 +28,8 @@ func shareGrid(cycles uint64) []Scenario {
 
 // runShared runs a batch like Runner.Run and returns the share it used.
 func runShared(ctx context.Context, r *Runner, scenarios []Scenario) ([]Result, *scriptShare) {
-	plan := scheduleLanes(scenarios)
-	share := newScriptShare(scenarios, plan)
-	return r.run(ctx, scenarios, plan, share), share
+	share := newScriptShare(scenarios)
+	return r.run(ctx, scenarios, share), share
 }
 
 // live returns the number of shared entries not yet dropped.
@@ -138,8 +137,7 @@ func TestSharedScriptsStayUnchanged(t *testing.T) {
 		v(&sc)
 		scens = append(scens, sc)
 	}
-	plan := scheduleLanes(scens)
-	share := newScriptShare(scens, plan)
+	share := newScriptShare(scens)
 	if share.live() != 1 {
 		t.Fatalf("%d shared entries, want 1", share.live())
 	}
@@ -147,7 +145,7 @@ func TestSharedScriptsStayUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := NewRunner(2).run(context.Background(), scens, plan, share)
+	results := NewRunner(2).run(context.Background(), scens, share)
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +184,7 @@ func TestShareReleasesAfterLastUser(t *testing.T) {
 	failing.Name, failing.Faults = "failing", &fault.Plan{FailFirst: 1}
 	scens := []Scenario{a, b, a, b, failing}
 	r := NewRunner(1)
-	plan := scheduleLanes(scens)
-	share := newScriptShare(scens, plan)
+	share := newScriptShare(scens)
 	keyA, keyB := share.byIndex[0].key, share.byIndex[1].key
 	has := func(k string) bool {
 		share.mu.Lock()
@@ -201,7 +198,7 @@ func TestShareReleasesAfterLastUser(t *testing.T) {
 			t.Errorf("after scenario %d: entries A=%v B=%v, want A=%v B=%v", res.Index, gotA, gotB, w.a, w.b)
 		}
 	}
-	results := r.run(context.Background(), scens, plan, share)
+	results := r.run(context.Background(), scens, share)
 	if results[4].Err == nil {
 		t.Error("FailFirst scenario succeeded without retries")
 	}
@@ -227,7 +224,7 @@ func TestShareSkipsMutableSystems(t *testing.T) {
 	setup.Setup = func(*core.System) error { return nil }
 	keep.KeepSystem = true
 	scens := []Scenario{setup, keep, sc}
-	share := newScriptShare(scens, scheduleLanes(scens))
+	share := newScriptShare(scens)
 	if share.live() != 0 {
 		t.Fatalf("%d shared entries for one shareable scenario", share.live())
 	}
@@ -260,7 +257,7 @@ func TestShareDistinctTrafficHoldsNothing(t *testing.T) {
 			Cycles:    800,
 		})
 	}
-	share := newScriptShare(scens, scheduleLanes(scens))
+	share := newScriptShare(scens)
 	if share.live() != 0 {
 		t.Fatalf("%d shared entries for all-distinct traffic", share.live())
 	}

@@ -8,7 +8,6 @@ import (
 
 	"ahbpower/internal/core"
 	"ahbpower/internal/exec"
-	"ahbpower/internal/lane"
 	"ahbpower/internal/workload"
 )
 
@@ -17,7 +16,7 @@ import (
 // exactly as much as a 10k-cycle run on the same traffic. It covers both
 // backends bare and under the global and local analyzers, the event
 // backend under the private analyzer (the compiled stepper does not run
-// it), and a lane pack. Building the system allocates, and so does paging
+// it). Building the system allocates, and so does paging
 // in the slaves' memory; the cycles after that must not.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -25,8 +24,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	const short, long = 10_000, 20_000
 	ct := core.PaperSystem().Topology()
-	traffic := ct.PaperTraffic(long)
-	scripts, err := workload.GenerateAll(traffic)
+	scripts, err := workload.GenerateAll(ct.PaperTraffic(long))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,25 +84,4 @@ func TestSteadyStateAllocs(t *testing.T) {
 			})
 		}
 	}
-	// A lane pack generates its traffic while it is built, so every lane
-	// carries the same explicit long-run workload and only Cycles varies.
-	t.Run("lanes/pack", func(t *testing.T) {
-		steady(t, func(cycles uint64) {
-			var specs []lane.Spec
-			for _, st := range []core.Style{core.StyleGlobal, core.StyleLocal} {
-				specs = append(specs,
-					lane.Spec{Name: st.String(), Topo: ct, Analyzer: core.AnalyzerConfig{Style: st}, Workloads: traffic, Cycles: cycles},
-					lane.Spec{Name: st.String() + "-bare", Topo: ct, Workloads: traffic, Cycles: cycles, SkipAnalyzer: true})
-			}
-			p, err := lane.BuildPack(specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, o := range p.Run(context.Background()) {
-				if o.Err != nil {
-					t.Fatal(o.Err)
-				}
-			}
-		})
-	})
 }

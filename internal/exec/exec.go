@@ -1,6 +1,7 @@
 // Package exec is the execution-backend seam between model construction
 // and simulation. A built core.System does not care how its cycles are
-// advanced; a Backend supplies that policy. Three backends exist today:
+// advanced; a Backend supplies that policy. Two backends exist, and the
+// "auto" hint picks between them per scenario:
 //
 //   - "event": the reference discrete-event kernel (internal/sim event
 //     heap, delta cycles, sensitivity-driven scheduling). Always
@@ -12,15 +13,9 @@
 //     event backend for every scenario it supports, several times
 //     faster, and restricted to static topologies without delta-level
 //     instrumentation.
-//   - "lanes": the bit-parallel pack executor (internal/lane), which
-//     evaluates up to 64 structurally compatible scenarios at once, one
-//     per bit of a uint64. It does not implement Backend — it never
-//     advances a core.System — so it is scheduled by the engine's
-//     runner, not selected here; Select rejects the name and the engine
-//     intercepts it before calling Select.
 //
 // Results are byte-identical across backends for supported scenarios —
-// the golden equivalence suites and the backend fuzzers enforce it —
+// the golden equivalence suites and the backend fuzzer enforce it —
 // which is why a backend hint is an execution detail and deliberately
 // excluded from engine.Scenario.CanonicalKey: a cached result answers a
 // scenario regardless of which backend computed it.
@@ -46,11 +41,6 @@ const (
 	// it and the event backend otherwise; the fallback reason is surfaced
 	// the same way as for an explicit compiled request.
 	NameAuto = "auto"
-	// NameLanes selects the bit-parallel lane backend (internal/lane).
-	// Valid as a scenario hint everywhere the other names are, but
-	// resolved by the engine's lane scheduler rather than Select: lanes
-	// execute whole packs of scenarios, not a single built system.
-	NameLanes = "lanes"
 )
 
 // Backend advances a built system by a number of bus clock cycles. A
@@ -89,11 +79,10 @@ type Traits struct {
 	ClockPeriod sim.Time
 	// Checkpoint marks that the scenario requests periodic state
 	// snapshots at chunk boundaries (crash-safe resume). Both
-	// cycle-accurate backends honor it; the pack (lanes) and
-	// transaction-level executors cannot — they carry no per-scenario
-	// kernel state to snapshot — so the engine routes
-	// checkpoint-requesting scenarios away from them with a surfaced
-	// reason.
+	// cycle-accurate backends honor it; the transaction-level estimator
+	// cannot — it carries no kernel state to snapshot — so the engine
+	// routes checkpoint-requesting scenarios away from it with a
+	// surfaced reason.
 	Checkpoint bool
 }
 
@@ -170,7 +159,7 @@ func (compiledBackend) Run(ctx context.Context, sys *core.System, cycles uint64)
 // string is valid and means the default (event) backend.
 func ValidName(name string) bool {
 	switch name {
-	case "", NameEvent, NameCompiled, NameAuto, NameLanes:
+	case "", NameEvent, NameCompiled, NameAuto:
 		return true
 	}
 	return false
@@ -190,8 +179,6 @@ func Select(hint string, t Traits) (b Backend, fallbackReason string, err error)
 			return Event(), reason, nil
 		}
 		return Compiled(), "", nil
-	case NameLanes:
-		return nil, "", fmt.Errorf("exec: the %s backend is scheduled by the engine's runner, not selected per-system", NameLanes)
 	}
-	return nil, "", fmt.Errorf("exec: unknown backend %q (want %s|%s|%s|%s)", hint, NameEvent, NameCompiled, NameAuto, NameLanes)
+	return nil, "", fmt.Errorf("exec: unknown backend %q (want %s|%s|%s)", hint, NameEvent, NameCompiled, NameAuto)
 }

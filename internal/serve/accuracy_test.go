@@ -218,43 +218,6 @@ func TestDegradedModeEstimates(t *testing.T) {
 	}
 }
 
-// TestErroredLaneRunsNotCounted pins the lane-accounting fix: an errored
-// lane-pack member still carries Backend="lanes" and the pack occupancy
-// in its Result, and it must not feed the backend_lane_runs /
-// lane_occupancy counters the occupancy average is derived from — only
-// its healthy packmate counts.
-func TestErroredLaneRunsNotCounted(t *testing.T) {
-	s := New(Config{Workers: 2})
-	h := s.Handler()
-
-	// Two structurally identical lanes scenarios pack together; the broken
-	// workload range errors one member while its packmate completes.
-	bad := `{"name":"lane-bad","cycles":2000,"backend":"lanes",
-		"workloads":[{"seed":1,"sequences":3,"pairs_min":6,"pairs_max":2,"addr_size":4096}]}`
-	rr := post(h, `{"backend":"lanes","scenarios":[`+bad+`,`+scenarioJSON("lane-rider", 2000, 2)+`]}`)
-	if rr.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
-	}
-	resp := decodeAccuracy(t, rr.Body.Bytes())
-	var res wireResult
-	if err := json.Unmarshal(resp.Results[0], &res); err != nil || res.Error == "" {
-		t.Fatalf("broken-workload scenario should error, got %s", resp.Results[0])
-	}
-	// Exactly one member completed: one lane run, its pack occupancy —
-	// not the 2 runs / occupancy 4 the errored member would add back.
-	if runs, occ := s.ctr.backendLaneRuns.Value(), s.ctr.laneOccupancy.Value(); runs != 1 || occ != 2 {
-		t.Errorf("pack with an errored member: runs=%d occupancy=%d, want 1/2 (errored lane counted?)", runs, occ)
-	}
-
-	// A healthy pack afterwards keeps the average honest: 3 runs total,
-	// occupancy 6.
-	specs := scenarioJSON("lane-a", 2000, 7) + `,` + scenarioJSON("lane-b", 1500, 8)
-	post(h, `{"backend":"lanes","scenarios":[`+specs+`]}`)
-	if runs, occ := s.ctr.backendLaneRuns.Value(), s.ctr.laneOccupancy.Value(); runs != 3 || occ != 6 {
-		t.Errorf("healthy pack after errored one: runs=%d occupancy=%d, want 3/6", runs, occ)
-	}
-}
-
 // TestRetryAfterAtLeastOne pins the backpressure-advice clamp: whatever
 // the (unsynchronized) waiting gauge reads, Retry-After must never reach
 // a client as 0 — zero-delay advice turns polite clients into spinners.

@@ -211,6 +211,38 @@ func TestCrashRecoveryResumesJob(t *testing.T) {
 	s.Drain(time.Second)
 }
 
+// TestRecoveryClearsRetiredBackend replays a journal written by a build
+// that still accepted the "lanes" backend: the job must not be retired
+// cancelled for naming a backend this build rejects, but finish done under
+// its original id with the bytes a fresh run returns.
+func TestRecoveryClearsRetiredBackend(t *testing.T) {
+	const workload = `"workloads":[{"seed":5,"sequences":3,"pairs_min":2,"pairs_max":6,"idle_min":2,"idle_max":8,"addr_size":4096}]`
+	dir := t.TempDir()
+	journal := `{"t":"accepted","job":"job-000003","req":{"async":true,"backend":"lanes","scenarios":[` +
+		`{"name":"hinted","cycles":2000,"backend":"lanes",` + workload + `},` +
+		`{"name":"plain","cycles":1500,` + workload + `}]}}` + "\n"
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fresh := decodeRun(t, post(New(Config{Workers: 2}).Handler(), `{"scenarios":[`+
+		`{"name":"hinted","cycles":2000,`+workload+`},{"name":"plain","cycles":1500,`+workload+`}]}`))
+
+	s := mustOpen(t, Config{Workers: 2, StateDir: dir})
+	if n := metricInt(t, s, "jobs_recovered"); n != 1 {
+		t.Fatalf("jobs_recovered = %d, want 1", n)
+	}
+	st := pollJob(t, s.Handler(), "job-000003")
+	if st.Status != JobDone || st.Response == nil || len(st.Response.Results) != len(fresh.Results) {
+		t.Fatalf("recovered job: %+v", st)
+	}
+	for i := range fresh.Results {
+		if string(st.Response.Results[i]) != string(fresh.Results[i]) {
+			t.Errorf("result %d differs from a fresh run:\ngot  %s\nwant %s", i, st.Response.Results[i], fresh.Results[i])
+		}
+	}
+	s.Drain(time.Second)
+}
+
 // TestDrainJournalsCancelledJob pins the drain satellite: a SIGTERM-style
 // drain that interrupts an async job must journal the cancelled terminal
 // state, so a restarted daemon reports the job cancelled instead of

@@ -66,8 +66,7 @@ type Config struct {
 	Retry engine.RetryPolicy
 	// DefaultBackend is the execution backend applied to scenarios whose
 	// request carries no backend of its own: "" or "event" (the default),
-	// "compiled", "lanes" (bit-parallel packs, scheduled by the runner),
-	// or "auto" (compiled when supported, event otherwise).
+	// "compiled", or "auto" (compiled when supported, event otherwise).
 	// Purely an execution policy — results and cache keys are identical
 	// across backends. The name must be valid (exec.ValidName); requests
 	// resolved against an unknown default are rejected at decode time, and
@@ -205,10 +204,8 @@ type counters struct {
 
 	backendEventRuns    expvar.Int // scenarios executed on the event backend
 	backendCompiledRuns expvar.Int // scenarios executed on the compiled backend
-	backendLaneRuns     expvar.Int // scenarios executed on the bit-parallel lane backend
 	backendTLMRuns      expvar.Int // scenarios estimated by the transaction-level fast path
-	laneOccupancy       expvar.Int // summed pack occupancy of lane runs (avg = lane_occupancy / backend_lane_runs)
-	backendFallbacks    expvar.Int // compiled/auto/lanes requests that fell back to event
+	backendFallbacks    expvar.Int // compiled/auto requests that fell back to event
 	accuracyFallbacks   expvar.Int // transaction requests that conservatively ran cycle-accurate
 
 	validateRequests expvar.Int // POST /v1/validate requests
@@ -275,9 +272,7 @@ func Open(cfg Config) (*Server, error) {
 
 		"backend_event_runs":    &s.ctr.backendEventRuns,
 		"backend_compiled_runs": &s.ctr.backendCompiledRuns,
-		"backend_lane_runs":     &s.ctr.backendLaneRuns,
 		"backend_tlm_runs":      &s.ctr.backendTLMRuns,
-		"lane_occupancy":        &s.ctr.laneOccupancy,
 		"backend_fallbacks":     &s.ctr.backendFallbacks,
 		"accuracy_fallbacks":    &s.ctr.accuracyFallbacks,
 
@@ -323,8 +318,18 @@ func Open(cfg Config) (*Server, error) {
 // re-journaled — replay folds by id, so the original entry still covers
 // it. A request the current configuration no longer admits (limits
 // tightened between runs) is retired cancelled with the rejection as its
-// response.
+// response. A backend hint this build no longer knows is cleared first:
+// the hint is excluded from the cache key, so the job keeps its journaled
+// keys and runs on the default backend instead of being cancelled.
 func (s *Server) recoverJob(id string, req *RunRequest) {
+	if !exec.ValidName(req.Backend) {
+		req.Backend = ""
+	}
+	for i := range req.Scenarios {
+		if !exec.ValidName(req.Scenarios[i].Backend) {
+			req.Scenarios[i].Backend = ""
+		}
+	}
 	scenarios, keys, err := s.resolveRequest(req)
 	if err != nil {
 		j := s.jobs.restore(id, 0)
@@ -481,7 +486,7 @@ func (s *Server) resolveRequest(req *RunRequest) ([]engine.Scenario, []string, e
 		return nil, nil, fmt.Errorf("request has %d scenarios, limit %d", len(req.Scenarios), s.cfg.MaxScenarios)
 	}
 	if !exec.ValidName(req.Backend) {
-		return nil, nil, fmt.Errorf("unknown backend %q (want event|compiled|lanes|auto)", req.Backend)
+		return nil, nil, fmt.Errorf("unknown backend %q (want event|compiled|auto)", req.Backend)
 	}
 	if !engine.ValidAccuracy(req.Accuracy) {
 		return nil, nil, fmt.Errorf("unknown accuracy %q (want cycle|transaction)", req.Accuracy)
@@ -506,7 +511,7 @@ func (s *Server) resolveRequest(req *RunRequest) ([]engine.Scenario, []string, e
 			sc.Backend = s.cfg.DefaultBackend
 		}
 		if !exec.ValidName(sc.Backend) {
-			return nil, nil, fmt.Errorf("scenario %q: unknown backend %q (want event|compiled|lanes|auto)", sc.Name, sc.Backend)
+			return nil, nil, fmt.Errorf("scenario %q: unknown backend %q (want event|compiled|auto)", sc.Name, sc.Backend)
 		}
 		// Accuracy resolution mirrors the backend chain — scenario, then
 		// request, then server default — but must settle *before* the key
@@ -719,15 +724,15 @@ func (s *Server) cachePut(key string, b []byte) {
 // under its canonical key, and it picks up whatever snapshot a crashed
 // predecessor left there — the resumed tail is Float64bits-identical to
 // a from-scratch run, so the cached result is too. Saving is best-effort
-// (a state-dir write failure is counted, never fatal). Lane and
-// transaction-accuracy hints run unarmed rather than forcing a backend
+// (a state-dir write failure is counted, never fatal).
+// Transaction-accuracy hints run unarmed rather than forcing a cycle
 // fallback just to snapshot, as do checkpoint-ineligible analyzer
 // configurations.
 func (s *Server) attachCheckpoint(sc *engine.Scenario, key string) {
 	if s.state == nil || s.cfg.CheckpointEvery == 0 || key == "" {
 		return
 	}
-	if sc.Backend == exec.NameLanes || engine.NormalizeAccuracy(sc.Accuracy) == engine.AccuracyTransaction {
+	if engine.NormalizeAccuracy(sc.Accuracy) == engine.AccuracyTransaction {
 		return
 	}
 	st := s.state
@@ -917,21 +922,13 @@ func (s *Server) runBatch(ctx context.Context, scenarios []engine.Scenario, keys
 				if res[n].CheckpointFallback != "" {
 					s.ctr.checkpointFallbacks.Add(1)
 				}
-				// Backend accounting counts completed runs only: a lane-pack
-				// member that errored (or a pack whose build failed) still
-				// carries Backend="lanes" and the pack occupancy in its
-				// Result, and counting those would skew the
-				// lane_occupancy / backend_lane_runs average the dashboards
-				// derive.
+				// Backend accounting counts completed runs only.
 				if res[n].Err == nil {
 					switch res[n].Backend {
 					case exec.NameEvent:
 						s.ctr.backendEventRuns.Add(1)
 					case exec.NameCompiled:
 						s.ctr.backendCompiledRuns.Add(1)
-					case exec.NameLanes:
-						s.ctr.backendLaneRuns.Add(1)
-						s.ctr.laneOccupancy.Add(int64(res[n].Lanes))
 					case tlm.Name:
 						s.ctr.backendTLMRuns.Add(1)
 					}

@@ -457,6 +457,7 @@ func TestBadRequests(t *testing.T) {
 		{"cycles over limit", `{"scenarios":[{"name":"big","cycles":2000}]}`},
 		{"bad policy", `{"scenarios":[{"cycles":100,"system":{"masters":2,"slaves":1,"policy":"nope"}}]}`},
 		{"bad pattern", `{"scenarios":[{"cycles":100,"workloads":[{"seed":1,"pattern":"nope"}]}]}`},
+		{"lanes backend", `{"backend":"lanes","scenarios":[{"cycles":100}]}`},
 		{"not json", `scenario please`},
 	}
 	for _, c := range cases {
@@ -526,60 +527,5 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if vars["scenarios_run"].(float64) != 1 {
 		t.Errorf("scenarios_run = %v, want 1", vars["scenarios_run"])
-	}
-}
-
-// TestLaneBackendServed drives the bit-parallel lane backend through the
-// wire format: structurally identical "lanes" scenarios must pack (no
-// fallback), be accounted under backend_lane_runs/lane_occupancy, and
-// return bytes identical to the same batch recomputed on the event
-// backend.
-func TestLaneBackendServed(t *testing.T) {
-	s := New(Config{Workers: 2})
-	h := s.Handler()
-	specs := scenarioJSON("lane-a", 2000, 7) + `,` + scenarioJSON("lane-b", 1500, 8)
-
-	first := post(h, `{"backend":"lanes","scenarios":[`+specs+`]}`)
-	if first.Code != http.StatusOK {
-		t.Fatalf("lanes request: status %d, body %s", first.Code, first.Body.String())
-	}
-	var r1 struct {
-		wireResponse
-		Batch struct {
-			Backends  map[string]int `json:"backends"`
-			Fallbacks []string       `json:"backend_fallbacks"`
-		} `json:"batch"`
-	}
-	if err := json.Unmarshal(first.Body.Bytes(), &r1); err != nil {
-		t.Fatal(err)
-	}
-	if r1.Batch.Backends["lanes"] != 2 || len(r1.Batch.Fallbacks) != 0 {
-		t.Fatalf("lanes request: backends=%v fallbacks=%v, want lanes:2 and no fallback",
-			r1.Batch.Backends, r1.Batch.Fallbacks)
-	}
-
-	second := post(h, `{"no_cache":true,"backend":"event","scenarios":[`+specs+`]}`)
-	var r2 wireResponse
-	if err := json.Unmarshal(second.Body.Bytes(), &r2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.Results {
-		if string(r1.Results[i]) != string(r2.Results[i]) {
-			t.Errorf("lane result %d differs from the event recompute:\n%s\n%s",
-				i, r1.Results[i], r2.Results[i])
-		}
-	}
-
-	rr := get(h, "/metrics")
-	var vars map[string]any
-	if err := json.Unmarshal(rr.Body.Bytes(), &vars); err != nil {
-		t.Fatalf("metrics body is not JSON: %v", err)
-	}
-	if vars["backend_lane_runs"].(float64) != 2 {
-		t.Errorf("backend_lane_runs = %v, want 2", vars["backend_lane_runs"])
-	}
-	// Both scenarios rode one 2-lane pack: occupancy sums to 2 per lane run.
-	if vars["lane_occupancy"].(float64) != 4 {
-		t.Errorf("lane_occupancy = %v, want 4", vars["lane_occupancy"])
 	}
 }

@@ -45,8 +45,7 @@ type RunRequest struct {
 	// still stored for later hits).
 	NoCache bool `json:"no_cache,omitempty"`
 	// Backend is the request-level execution-backend default
-	// ("event"|"compiled"|"lanes"|"auto") applied to every scenario that
-	// does not
+	// ("event"|"compiled"|"auto") applied to every scenario that does not
 	// carry its own; empty defers to the server's configured default. An
 	// execution hint only: results and cache keys are identical across
 	// backends, so requests with different backends share cache entries.
@@ -95,10 +94,8 @@ type ScenarioSpec struct {
 	// faulty runs cache like clean ones.
 	Faults *fault.Plan `json:"faults,omitempty"`
 	// Backend selects this scenario's execution backend
-	// ("event"|"compiled"|"lanes"|"auto"); empty defers to the
-	// request-level and then the server-level default. Not part of the
-	// cache key. "lanes" scenarios sharing one bus structure are packed
-	// into bit-parallel executions by the engine's runner.
+	// ("event"|"compiled"|"auto"); empty defers to the request-level and
+	// then the server-level default. Not part of the cache key.
 	Backend string `json:"backend,omitempty"`
 	// Accuracy selects this scenario's accuracy class
 	// ("cycle"|"transaction"); empty defers to the request-level and then
@@ -207,7 +204,7 @@ func (s *ScenarioSpec) Scenario(index int) (engine.Scenario, error) {
 		return sc, fmt.Errorf("scenario %q: cycles must be positive", sc.Name)
 	}
 	if !exec.ValidName(s.Backend) {
-		return sc, fmt.Errorf("scenario %q: unknown backend %q (want event|compiled|lanes|auto)", sc.Name, s.Backend)
+		return sc, fmt.Errorf("scenario %q: unknown backend %q (want event|compiled|auto)", sc.Name, s.Backend)
 	}
 	sc.Backend = s.Backend
 	if !engine.ValidAccuracy(s.Accuracy) {
@@ -489,7 +486,7 @@ type BatchWire struct {
 	// request that conservatively fell back counts under "cycle".
 	Accuracies map[string]int `json:"accuracies,omitempty"`
 	// BackendFallbacks lists, in input order, the scenarios whose
-	// compiled/auto/lanes request fell back to the event backend, with
+	// compiled/auto request fell back to the event backend, with
 	// the surfaced reason ("name: reason").
 	BackendFallbacks []string `json:"backend_fallbacks,omitempty"`
 }

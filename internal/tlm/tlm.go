@@ -64,8 +64,7 @@ const (
 )
 
 // Spec describes one estimation request — the projection of an
-// engine.Scenario onto what the transaction-level estimator needs,
-// mirroring lane.Spec for the packed backend.
+// engine.Scenario onto what the transaction-level estimator needs.
 type Spec struct {
 	// Name labels errors.
 	Name string
@@ -84,7 +83,7 @@ type Spec struct {
 }
 
 // Traits captures the scenario features that decide transaction-level
-// eligibility, the TLM analog of exec.Traits/lane.Traits. The engine
+// eligibility, the TLM analog of exec.Traits. The engine
 // fills it from a Scenario; anything the estimator cannot honor shows up
 // here and surfaces as a conservative fallback to cycle accuracy.
 type Traits struct {

@@ -385,8 +385,8 @@ func (t *Topology) Workloads() ([]workload.Config, error) {
 
 // Traffic resolves a scenario's traffic into exactly one workload
 // configuration per active master, in port order. This is the one
-// resolution rule every execution path (cycle-accurate, transaction-level,
-// lane) follows: explicit configurations win, then the topology's
+// resolution rule every execution path (cycle-accurate and
+// transaction-level) follows: explicit configurations win, then the topology's
 // per-master hints, then the paper testbench sized to cycles
 // (PaperTraffic); a list shorter than the active-master count is filled
 // by workload.PerMaster.

@@ -162,13 +162,13 @@ func TestHeadSuiteErrorDistinguishesRemovedFromErrored(t *testing.T) {
 
 func TestSpeedupFlagParsing(t *testing.T) {
 	var f speedupFlag
-	if err := f.Set("lanes:10x,compiled:1.5x"); err != nil {
+	if err := f.Set("tlm:10x,compiled:1.5x"); err != nil {
 		t.Fatal(err)
 	}
-	if len(f) != 2 || f[0] != (speedupReq{"lanes", 10}) || f[1] != (speedupReq{"compiled", 1.5}) {
+	if len(f) != 2 || f[0] != (speedupReq{"tlm", 10}) || f[1] != (speedupReq{"compiled", 1.5}) {
 		t.Errorf("parsed %+v", f)
 	}
-	for _, bad := range []string{"lanes", "lanes:10", ":10x", "lanes:0x", "lanes:-2x"} {
+	for _, bad := range []string{"tlm", "tlm:10", ":10x", "tlm:0x", "tlm:-2x"} {
 		var g speedupFlag
 		if err := g.Set(bad); err == nil {
 			t.Errorf("Set(%q) accepted", bad)
@@ -178,19 +178,19 @@ func TestSpeedupFlagParsing(t *testing.T) {
 
 func TestCheckSpeedupsPairsSiblings(t *testing.T) {
 	head := map[string][]float64{
-		"BenchmarkLaneSweep/lanes/sweep":    {100, 110, 105},
-		"BenchmarkLaneSweep/compiled/sweep": {300, 330, 315},
-		"BenchmarkLaneBare/lanes/bare":      {80},
+		"BenchmarkTLMSweep/tlm/sweep":      {100, 110, 105},
+		"BenchmarkTLMSweep/compiled/sweep": {300, 330, 315},
+		"BenchmarkTLMBare/tlm/bare":        {80},
 	}
 	// 3x measured: a 2x requirement passes, a 10x requirement fails.
-	report, failed := checkSpeedups(head, []speedupReq{{"lanes", 2}})
+	report, failed := checkSpeedups(head, []speedupReq{{"tlm", 2}})
 	if failed {
 		t.Fatalf("3x speedup must satisfy a 2x floor:\n%s", report)
 	}
 	if !strings.Contains(report, "3.00x") {
 		t.Errorf("report lacks measured ratio:\n%s", report)
 	}
-	report, failed = checkSpeedups(head, []speedupReq{{"lanes", 10}})
+	report, failed = checkSpeedups(head, []speedupReq{{"tlm", 10}})
 	if !failed || !strings.Contains(report, "FAIL") {
 		t.Errorf("3x speedup must fail a 10x floor:\n%s", report)
 	}
@@ -199,11 +199,11 @@ func TestCheckSpeedupsPairsSiblings(t *testing.T) {
 func TestCheckSpeedupsFailsWithoutPair(t *testing.T) {
 	// No sibling differing only in the labeled segment: the assertion must
 	// fail rather than pass vacuously.
-	head := map[string][]float64{"BenchmarkLaneBare/lanes/bare": {80}}
-	if report, failed := checkSpeedups(head, []speedupReq{{"lanes", 2}}); !failed {
+	head := map[string][]float64{"BenchmarkTLMBare/tlm/bare": {80}}
+	if report, failed := checkSpeedups(head, []speedupReq{{"tlm", 2}}); !failed {
 		t.Fatalf("missing pair must fail the assertion:\n%s", report)
 	}
-	if report, failed := checkSpeedups(map[string][]float64{}, []speedupReq{{"lanes", 2}}); !failed {
+	if report, failed := checkSpeedups(map[string][]float64{}, []speedupReq{{"tlm", 2}}); !failed {
 		t.Fatalf("empty head must fail the assertion:\n%s", report)
 	}
 }

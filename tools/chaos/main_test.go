@@ -18,9 +18,9 @@ func TestSoakSmallSweepClean(t *testing.T) {
 	if len(rep.Violations) != 0 {
 		t.Fatalf("soak violations: %v", rep.Violations)
 	}
-	if !rep.ReplayOK || !rep.BackendsOK || !rep.LanesOK || !rep.ControlsOK {
-		t.Errorf("replay_ok=%v backends_ok=%v lanes_ok=%v controls_ok=%v, want all true",
-			rep.ReplayOK, rep.BackendsOK, rep.LanesOK, rep.ControlsOK)
+	if !rep.ReplayOK || !rep.BackendsOK || !rep.ControlsOK {
+		t.Errorf("replay_ok=%v backends_ok=%v controls_ok=%v, want all true",
+			rep.ReplayOK, rep.BackendsOK, rep.ControlsOK)
 	}
 	if rep.Scenarios != 6 {
 		t.Errorf("scenarios=%d, want 6", rep.Scenarios)
