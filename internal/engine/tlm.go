@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/metrics"
 	"ahbpower/internal/tlm"
-	"ahbpower/internal/workload"
 )
 
 // Accuracy classes a Scenario can request. Unlike backend hints, the
@@ -86,9 +84,7 @@ func executeTLMAttempt(ctx context.Context, index int, sc Scenario, attempt int,
 		Workloads: sc.Workloads,
 		Cycles:    sc.Cycles,
 	}
-	prep, err := tlm.PrepareWith(spec, func(cfgs []workload.Config) ([][]ahb.Sequence, error) {
-		return share.scripts(index, cfgs)
-	})
+	prep, err := share.prepare(index, spec)
 	var out *tlm.Outcome
 	if err == nil {
 		out, err = prep.Estimate(ctx)

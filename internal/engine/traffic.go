@@ -5,7 +5,14 @@ package engine
 // typically holds a handful of distinct traffic sets under dozens of
 // scenarios. Runner.Run resolves every scenario's traffic before dispatch
 // and generates each set that two or more scenarios use exactly once; all
-// of them then read the same scripts.
+// of them then read the same scripts. Generation is split by master: a
+// user that finds a set incomplete generates a master no other user has
+// claimed, and waits only for the masters already claimed by others.
+//
+// A shared set also memoizes the transaction-level walks over its scripts
+// (see tlm.WalkKey): transaction scenarios that share the set and a wait
+// map, horizon and prefix — design points differing only in policy or
+// data width — walk once per Run and all read the one result.
 //
 // Sharing is safe because generated scripts are immutable once built: the
 // masters copy the sequence lists but only ever write an op through its
@@ -15,17 +22,19 @@ package engine
 // they always generate privately.
 //
 // The share lives for one Run call only. An entry is dropped when its last
-// user finishes (succeeded, failed or cancelled), and traffic used by a
-// single scenario is generated privately exactly as Execute does, so a
-// batch whose scenarios all differ holds no more scripts than running them
-// one at a time.
+// user finishes (succeeded, failed or cancelled), its scripts and walks
+// with it, and traffic used by a single scenario is generated and walked
+// privately exactly as Execute does, so a batch whose scenarios all differ
+// holds no more scripts than running them one at a time.
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"ahbpower/internal/amba/ahb"
+	"ahbpower/internal/tlm"
 	"ahbpower/internal/workload"
 )
 
@@ -36,23 +45,48 @@ type scriptShare struct {
 	// scenario generates privately. Each index is touched only by the
 	// worker running that scenario.
 	byIndex []*sharedScripts
+	// sources holds each scenario's tlm.Source, built once per batch so
+	// that handing one to tlm.PrepareWith allocates nothing.
+	sources []shareSource
 
 	mu      sync.Mutex
 	entries map[string]*sharedScripts // live entries by traffic key
 
-	// generated counts script-set generations, shared and private.
+	// generated counts per-master script generations and walked counts
+	// transaction walks, shared and private.
 	generated atomic.Int64
+	walked    atomic.Int64
 }
 
 // sharedScripts is one traffic set used by two or more scenarios.
 type sharedScripts struct {
-	key     string
-	cfgs    []workload.Config
-	once    sync.Once
+	key  string
+	cfgs []workload.Config
+
+	// claimed counts the masters handed out for generation; the user that
+	// claims master m writes scripts[m] and errs[m], then marks it done on
+	// pending.
+	claimed atomic.Int64
+	pending sync.WaitGroup
 	scripts [][]ahb.Sequence
-	err     error
-	users   int // scenarios yet to finish; guarded by scriptShare.mu
+	errs    []error
+
+	walkMu sync.Mutex
+	walks  []*sharedWalk
+
+	users int // scenarios yet to finish; guarded by scriptShare.mu
 }
+
+// sharedWalk is one memoized transaction walk of a shared traffic set.
+type sharedWalk struct {
+	key  tlm.WalkKey
+	once sync.Once
+	walk *tlm.Walk
+}
+
+// errGenerationAborted is what users of a shared set read for a master
+// whose generation panicked.
+var errGenerationAborted = errors.New("engine: shared script generation aborted")
 
 // newScriptShare is the pre-dispatch pass: it resolves the traffic of
 // every scenario, counts the users of each distinct traffic set and
@@ -60,7 +94,11 @@ type sharedScripts struct {
 func newScriptShare(scenarios []Scenario) *scriptShare {
 	s := &scriptShare{
 		byIndex: make([]*sharedScripts, len(scenarios)),
+		sources: make([]shareSource, len(scenarios)),
 		entries: make(map[string]*sharedScripts),
+	}
+	for i := range s.sources {
+		s.sources[i] = shareSource{s, i}
 	}
 	keys := make([]string, len(scenarios))
 	cfgs := make([][]workload.Config, len(scenarios))
@@ -84,7 +122,10 @@ func newScriptShare(scenarios []Scenario) *scriptShare {
 		}
 		e := s.entries[k]
 		if e == nil {
-			e = &sharedScripts{key: k, cfgs: cfgs[i], users: users[k]}
+			n := len(cfgs[i])
+			e = &sharedScripts{key: k, cfgs: cfgs[i], users: users[k],
+				scripts: make([][]ahb.Sequence, n), errs: make([]error, n)}
+			e.pending.Add(n)
 			s.entries[k] = e
 		}
 		s.byIndex[i] = e
@@ -99,21 +140,89 @@ func trafficKey(cfgs []workload.Config) string {
 }
 
 // scripts returns the generated scripts of scenario index, whose traffic
-// resolved to cfgs: the batch's shared copy when there is one (generated
-// by its first user), else a private one.
+// resolved to cfgs: the batch's shared copy when there is one, else a
+// private one. A user of a shared copy first generates every master no
+// other user has claimed yet, then waits for the claimed ones.
 func (s *scriptShare) scripts(index int, cfgs []workload.Config) ([][]ahb.Sequence, error) {
 	if s == nil {
 		return workload.GenerateAll(cfgs)
 	}
-	if e := s.byIndex[index]; e != nil {
-		e.once.Do(func() {
-			s.generated.Add(1)
-			e.scripts, e.err = workload.GenerateAll(e.cfgs)
-		})
-		return e.scripts, e.err
+	e := s.byIndex[index]
+	if e == nil {
+		s.generated.Add(int64(len(cfgs)))
+		return workload.GenerateAll(cfgs)
 	}
-	s.generated.Add(1)
-	return workload.GenerateAll(cfgs)
+	for m := int(e.claimed.Add(1)) - 1; m < len(e.cfgs); m = int(e.claimed.Add(1)) - 1 {
+		s.generated.Add(1)
+		e.generate(m)
+	}
+	e.pending.Wait()
+	for _, err := range e.errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return e.scripts, nil
+}
+
+// generate generates the script of master m. A panic propagates to the
+// claiming user; the others read errGenerationAborted.
+func (e *sharedScripts) generate(m int) {
+	defer e.pending.Done()
+	e.errs[m] = errGenerationAborted
+	e.scripts[m], e.errs[m] = workload.Generate(e.cfgs[m])
+}
+
+// walk returns the transaction walk of scenario index for key: the walk
+// of its shared set for an equal key, computed by the first user to ask,
+// else a private one.
+func (s *scriptShare) walk(index int, key tlm.WalkKey, walk func() *tlm.Walk) *tlm.Walk {
+	e := s.byIndex[index]
+	if e == nil {
+		s.walked.Add(1)
+		return walk()
+	}
+	var sw *sharedWalk
+	e.walkMu.Lock()
+	for _, c := range e.walks {
+		if c.key.Equal(&key) {
+			sw = c
+			break
+		}
+	}
+	if sw == nil {
+		sw = &sharedWalk{key: key}
+		e.walks = append(e.walks, sw)
+	}
+	e.walkMu.Unlock()
+	sw.once.Do(func() {
+		s.walked.Add(1)
+		sw.walk = walk()
+	})
+	return sw.walk
+}
+
+// prepare prepares the estimate of scenario index on the batch's scripts
+// and walks; a nil share prepares privately.
+func (s *scriptShare) prepare(index int, spec tlm.Spec) (*tlm.Prepared, error) {
+	if s == nil {
+		return tlm.Prepare(spec)
+	}
+	return tlm.PrepareWith(spec, &s.sources[index])
+}
+
+// shareSource is the tlm.Source of scenario index in a batch.
+type shareSource struct {
+	share *scriptShare
+	index int
+}
+
+func (u *shareSource) Scripts(cfgs []workload.Config) ([][]ahb.Sequence, error) {
+	return u.share.scripts(u.index, cfgs)
+}
+
+func (u *shareSource) Walk(key tlm.WalkKey, walk func() *tlm.Walk) *tlm.Walk {
+	return u.share.walk(u.index, key, walk)
 }
 
 // release records that scenario index has finished; the last user of an
@@ -128,6 +237,6 @@ func (s *scriptShare) release(index int) {
 	defer s.mu.Unlock()
 	if e.users--; e.users == 0 {
 		delete(s.entries, e.key)
-		e.scripts = nil
+		e.scripts, e.walks = nil, nil
 	}
 }

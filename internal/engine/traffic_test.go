@@ -14,16 +14,36 @@ import (
 
 // shareGrid is a design-space batch with exactly three distinct traffic
 // sets: the paper traffic depends on the slave count (through the address
-// span) and not on the policy or the data width.
-func shareGrid(cycles uint64) []Scenario {
+// span) and not on the policy, the data width or the wait states. An
+// empty waits axis keeps the base system's waits.
+func shareGrid(cycles uint64, waits ...int) []Scenario {
 	return Grid{
 		Base:     core.PaperSystem(),
 		Analyzer: core.AnalyzerConfig{Style: core.StyleGlobal},
 		Cycles:   cycles,
 		Slaves:   []int{2, 3, 8},
 		Widths:   []int{16, 32},
+		Waits:    waits,
 		Policies: []ahb.ArbPolicy{ahb.PolicySticky, ahb.PolicyRoundRobin},
 	}.Scenarios()
+}
+
+// pinTraffic fixes each scenario's traffic at the paper testbench sized
+// for cycles, so that scenarios of different horizons share it.
+func pinTraffic(scens []Scenario, cycles uint64) []Scenario {
+	for i := range scens {
+		ct := scens[i].Topology()
+		scens[i].Workloads = ct.PaperTraffic(cycles)
+	}
+	return scens
+}
+
+// transaction returns scens at transaction accuracy.
+func transaction(scens []Scenario) []Scenario {
+	for i := range scens {
+		scens[i].Accuracy = AccuracyTransaction
+	}
+	return scens
 }
 
 // runShared runs a batch like Runner.Run and returns the share it used.
@@ -60,20 +80,25 @@ func assertSameResult(t *testing.T, got, want Result) {
 }
 
 // TestShareGeneratesOncePerTrafficSet: a batch with k distinct traffic
-// sets generates exactly k times, on the cycle-accurate and the
-// transaction paths alike.
+// sets of m masters generates each of its k*m per-master scripts exactly
+// once, on the cycle-accurate and the transaction paths alike, and walks
+// each set once per wait map and horizon: the policy and the data width
+// never enter the walk.
 func TestShareGeneratesOncePerTrafficSet(t *testing.T) {
-	scens := shareGrid(1500)
-	for _, sc := range shareGrid(1500) {
-		sc.Accuracy = AccuracyTransaction
-		scens = append(scens, sc)
+	const sets, masters, waitMaps, horizons = 3, 2, 2, 2
+	scens := pinTraffic(shareGrid(1500, 0, 2), 1500)
+	for _, cycles := range []uint64{1500, 4000} {
+		scens = append(scens, transaction(pinTraffic(shareGrid(cycles, 0, 2), 1500))...)
 	}
 	results, share := runShared(context.Background(), NewRunner(2), scens)
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
-	if n := share.generated.Load(); n != 3 {
-		t.Errorf("generated %d script sets for 3 distinct traffic sets", n)
+	if n := share.generated.Load(); n != sets*masters {
+		t.Errorf("generated %d per-master scripts for %d traffic sets of %d masters", n, sets, masters)
+	}
+	if n := share.walked.Load(); n != sets*waitMaps*horizons {
+		t.Errorf("walked %d times for %d traffic sets x %d wait maps x %d horizons", n, sets, waitMaps, horizons)
 	}
 	if n := share.live(); n != 0 {
 		t.Errorf("%d shared entries outlive the batch", n)
@@ -81,18 +106,32 @@ func TestShareGeneratesOncePerTrafficSet(t *testing.T) {
 }
 
 // TestShareMatchesExecute: batch results with shared traffic are
-// Float64bits-identical to the same scenarios run one at a time.
+// Float64bits-identical to the same scenarios run one at a time,
+// including transaction estimates that share traffic but differ in wait
+// states or horizon, and so must not share a walk.
 func TestShareMatchesExecute(t *testing.T) {
 	scens := shareGrid(1200)
 	scens[1].Faults = activePlan(3)
 	scens[2].Faults = &fault.Plan{FailFirst: 1} // retried: the second attempt reuses the scripts
 	scens[3].Accuracy = AccuracyTransaction
 	scens[4].Backend = "compiled"
+	// The two-slave traffic set (scens[0..3]) at two wait maps and two
+	// horizons.
+	for _, cycles := range []uint64{1200, 3000} {
+		for _, sc := range transaction(pinTraffic(shareGrid(cycles, 0, 2), 1200)) {
+			if sc.System.NumSlaves == 2 {
+				scens = append(scens, sc)
+			}
+		}
+	}
 	r := NewRunner(2)
 	r.Retry = RetryPolicy{MaxAttempts: 2, BaseBackoff: 1}
 	results, share := runShared(context.Background(), r, scens)
-	if share.generated.Load() != 3 {
-		t.Errorf("generated %d script sets, want 3", share.generated.Load())
+	if n := share.generated.Load(); n != 6 {
+		t.Errorf("generated %d per-master scripts, want 6", n)
+	}
+	if n := share.walked.Load(); n != 4 {
+		t.Errorf("walked %d times, want 4 (2 wait maps x 2 horizons)", n)
 	}
 	for i, sc := range scens {
 		alone := Execute(context.Background(), i, sc)
@@ -141,10 +180,9 @@ func TestSharedScriptsStayUnchanged(t *testing.T) {
 	if share.live() != 1 {
 		t.Fatalf("%d shared entries, want 1", share.live())
 	}
-	shared, err := share.scripts(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The entry drops its scripts when the batch ends; keep the slice its
+	// users fill in, one master each.
+	shared := share.byIndex[0].scripts
 	results := NewRunner(2).run(context.Background(), scens, share)
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
@@ -161,8 +199,8 @@ func TestSharedScriptsStayUnchanged(t *testing.T) {
 	if !reflect.DeepEqual(shared, fresh) {
 		t.Error("the batch modified its shared scripts")
 	}
-	if share.generated.Load() != 1 {
-		t.Errorf("generated %d script sets, want 1", share.generated.Load())
+	if n := share.generated.Load(); n != int64(len(fresh)) {
+		t.Errorf("generated %d per-master scripts, want %d", n, len(fresh))
 	}
 }
 
@@ -236,8 +274,8 @@ func TestShareSkipsMutableSystems(t *testing.T) {
 	if share.byIndex[0] != nil || share.byIndex[1] != nil {
 		t.Error("Setup/KeepSystem scenario resolved to a shared entry")
 	}
-	if n := share.generated.Load(); n != 3 {
-		t.Errorf("generated %d script sets, want 3 (two private, one shared)", n)
+	if n := share.generated.Load(); n != 6 {
+		t.Errorf("generated %d per-master scripts, want 6 (two private sets, one shared, 2 masters each)", n)
 	}
 }
 
@@ -270,7 +308,7 @@ func TestShareDistinctTrafficHoldsNothing(t *testing.T) {
 	if err := FirstError(results); err != nil {
 		t.Fatal(err)
 	}
-	if n := share.generated.Load(); n != int64(len(scens)) {
-		t.Errorf("generated %d script sets for %d scenarios", n, len(scens))
+	if n := share.generated.Load(); n != int64(2*len(scens)) {
+		t.Errorf("generated %d per-master scripts for %d scenarios of 2 masters", n, len(scens))
 	}
 }

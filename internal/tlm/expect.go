@@ -130,7 +130,7 @@ type calibration struct {
 	overall float64
 }
 
-func calibrate(exp *expecter, w *walkResult, m measuredPrefix) *calibration {
+func calibrate(exp *expecter, w *Walk, m measuredPrefix) *calibration {
 	var walkPre [power.NumBlocks]float64
 	for idx, n := range w.pre {
 		if n == 0 {
@@ -176,7 +176,7 @@ func calibrate(exp *expecter, w *walkResult, m measuredPrefix) *calibration {
 // horizon equals the calibration prefix the sums telescope back to the
 // measured per-block energies and the estimate is exact.
 func (cal *calibration) report(ct *topo.Topology, az core.AnalyzerConfig,
-	w *walkResult, cycles uint64) (*core.Report, []power.InstructionStat) {
+	w *Walk, cycles uint64) (*core.Report, []power.InstructionStat) {
 	var bd power.Breakdown
 	sts := make([]power.InstructionStat, 0, 8)
 	total := 0.0

@@ -34,6 +34,13 @@
 // cycle-accurate result. Results are deterministic: the same Spec always
 // yields the same Outcome, so TLM results are cacheable — under their own
 // CanonicalKey accuracy class, never the cycle-accurate one.
+//
+// The walk reads the topology only through its wait map (address regions
+// and per-slave wait states), never the arbitration policy or the data
+// width, so it is a pure function of the scripts and a WalkKey. Prepare
+// generates and walks for itself; PrepareWith takes a Source through
+// which a batch runner hands in scripts and walks it already computed for
+// another scenario with the same traffic and key.
 package tlm
 
 import (
@@ -183,28 +190,49 @@ func CalibrationPrefix(cycles uint64) uint64 {
 // the estimation-ready form. The generated scripts are shared read-only
 // between the calibration prefix (the masters enqueue but never mutate
 // them) and the transaction walk, so one preparation generates each
-// script at most once; PrepareWith lets a batch runner hand in scripts it
-// already generated for another scenario with the same traffic.
+// script at most once; PrepareWith lets a batch runner hand in scripts and
+// walks it already computed for another scenario with the same traffic.
 type Prepared struct {
 	spec    Spec
 	ct      topo.Topology
 	cfgs    []workload.Config
 	scripts [][]ahb.Sequence
+	src     Source
 }
+
+// Source supplies what a preparation would otherwise compute for itself.
+type Source interface {
+	// Scripts is called once, after validation, with the resolved
+	// per-master configurations (topo.Topology.Traffic), and must return
+	// their generated scripts in order. The returned scripts are only
+	// read.
+	Scripts(cfgs []workload.Config) ([][]ahb.Sequence, error)
+	// Walk is called once by Estimate with the walk's key and a function
+	// that walks the scripts Scripts returned. It returns that walk, or
+	// one computed earlier for an equal key over the same scripts.
+	Walk(key WalkKey, walk func() *Walk) *Walk
+}
+
+// private is the Source of Prepare: it generates and walks every time.
+type private struct{}
+
+func (private) Scripts(cfgs []workload.Config) ([][]ahb.Sequence, error) {
+	return workload.GenerateAll(cfgs)
+}
+
+func (private) Walk(_ WalkKey, walk func() *Walk) *Walk { return walk() }
 
 // Prepare validates a spec, resolves its traffic into one configuration
 // per active master and generates the workload scripts. Preparation is
 // the allocation-heavy half of an estimate; Estimate on the result runs
 // the calibration prefix and the walk.
 func Prepare(spec Spec) (*Prepared, error) {
-	return PrepareWith(spec, workload.GenerateAll)
+	return PrepareWith(spec, private{})
 }
 
-// PrepareWith is Prepare with the script source supplied by the caller:
-// scripts is called once, after validation, with the resolved
-// per-master configurations (topo.Topology.Traffic), and must return
-// their generated scripts in order. The returned scripts are only read.
-func PrepareWith(spec Spec, scripts func([]workload.Config) ([][]ahb.Sequence, error)) (*Prepared, error) {
+// PrepareWith is Prepare with the scripts and the walk supplied by the
+// caller (see Source).
+func PrepareWith(spec Spec, src Source) (*Prepared, error) {
 	if spec.Cycles == 0 {
 		return nil, fmt.Errorf("tlm: spec %q: Cycles must be positive", spec.Name)
 	}
@@ -216,14 +244,14 @@ func PrepareWith(spec Spec, scripts func([]workload.Config) ([][]ahb.Sequence, e
 	if err != nil {
 		return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, err)
 	}
-	seqs, err := scripts(cfgs)
+	seqs, err := src.Scripts(cfgs)
 	if err != nil {
 		return nil, fmt.Errorf("tlm: spec %q: %w", spec.Name, err)
 	}
 	if len(seqs) != len(cfgs) {
 		return nil, fmt.Errorf("tlm: spec %q: %d scripts for %d active masters", spec.Name, len(seqs), len(cfgs))
 	}
-	return &Prepared{spec: spec, ct: ct, cfgs: cfgs, scripts: seqs}, nil
+	return &Prepared{spec: spec, ct: ct, cfgs: cfgs, scripts: seqs, src: src}, nil
 }
 
 // Estimate runs the calibrated transaction-level estimation for a
@@ -237,7 +265,8 @@ func (p *Prepared) Estimate(ctx context.Context) (*Outcome, error) {
 		return nil, fmt.Errorf("tlm: spec %q: calibration prefix: %w", p.spec.Name, err)
 	}
 
-	w := runWalk(&p.ct, p.scripts, p.spec.Cycles, prefix)
+	key := newWalkKey(&p.ct, p.spec.Cycles, prefix)
+	w := p.src.Walk(key, func() *Walk { return runWalk(key, p.scripts) })
 	exp := newExpecter(&p.ct, p.spec.Analyzer, p.cfgs)
 	cal := calibrate(exp, w, measured)
 

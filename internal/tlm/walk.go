@@ -1,6 +1,8 @@
 package tlm
 
 import (
+	"slices"
+
 	"ahbpower/internal/amba/ahb"
 	"ahbpower/internal/power"
 	"ahbpower/internal/topo"
@@ -68,9 +70,11 @@ func (e *emitter) addRun(from, to power.State, n uint64) {
 	e.t += n
 }
 
-// walkResult is everything the transaction walk derives from the scripts:
+// Walk is everything the transaction walk derives from the scripts:
 // instruction counts over both windows plus estimated protocol counters.
-type walkResult struct {
+// A Walk is read-only once runWalk returns it, so the scenarios of a
+// batch that share scripts and a WalkKey can share one Walk.
+type Walk struct {
 	full   instrCounts
 	pre    instrCounts
 	cycles uint64
@@ -95,41 +99,77 @@ type walkResult struct {
 
 // monitorCounts projects the walk's protocol estimates onto the bus
 // monitor's counter key space, keeping the only-nonzero convention.
-func (w *walkResult) monitorCounts() map[string]uint64 {
+func (w *Walk) monitorCounts() map[string]uint64 {
 	m := make(map[string]uint64, 5)
-	for k, v := range map[string]uint64{
-		"nonseq":   w.nonseq,
-		"seq":      w.seq,
-		"wait":     w.waits,
-		"handover": w.handovers,
-		"idle":     w.idle,
+	for _, c := range [...]struct {
+		key string
+		n   uint64
+	}{
+		{"nonseq", w.nonseq},
+		{"seq", w.seq},
+		{"wait", w.waits},
+		{"handover", w.handovers},
+		{"idle", w.idle},
 	} {
-		if v > 0 {
-			m[k] = v
+		if c.n > 0 {
+			m[c.key] = c.n
 		}
 	}
 	return m
 }
 
-// waitTable resolves wait states by address from the topology's flattened
-// region map (the same table the bus decoder is built from).
-type waitTable struct {
+// WalkKey is everything a transaction walk reads besides the scripts:
+// the wait map (the topology's flattened address regions, the same table
+// the bus decoder is built from, and each slave's wait states), the
+// horizon and the calibration prefix. The arbitration policy and the data
+// width never enter the walk: it serves sequences in a fixed
+// preemption-free order and counts cycles, not bits, and the prefix
+// calibration prices both. Design points that differ only in policy or
+// width therefore share one walk of the same scripts.
+type WalkKey struct {
 	regions []ahb.Region
 	waits   []int
+	horizon uint64
+	prefix  uint64
 }
 
-func newWaitTable(ct *topo.Topology) waitTable {
-	wt := waitTable{regions: ct.Regions(), waits: make([]int, len(ct.Slaves))}
+func newWalkKey(ct *topo.Topology, horizon, prefix uint64) WalkKey {
+	k := WalkKey{regions: ct.Regions(), waits: make([]int, len(ct.Slaves)), horizon: horizon, prefix: prefix}
 	for i, s := range ct.Slaves {
-		wt.waits[i] = s.Waits
+		k.waits[i] = s.Waits
 	}
-	return wt
+	return k
 }
 
-func (wt waitTable) at(addr uint32) int {
-	for _, r := range wt.regions {
+// Equal reports whether two keys describe the same walk, by value.
+func (k *WalkKey) Equal(o *WalkKey) bool {
+	return k.horizon == o.horizon && k.prefix == o.prefix &&
+		slices.Equal(k.regions, o.regions) && slices.Equal(k.waits, o.waits)
+}
+
+// waitCursor resolves wait states by address, trying the region of the
+// previous lookup first: a sequence stays within its locality window, so
+// consecutive ops mostly decode to the same region. topo.Check rejects
+// overlapping regions, so the region containing an address is unique and
+// the shortcut returns what a scan in order would.
+type waitCursor struct {
+	key         *WalkKey
+	start, size uint32 // region of the last match; size 0 before the first
+	waits       int    // its slave's wait states
+}
+
+func (c *waitCursor) at(addr uint32) int {
+	if addr >= c.start && addr-c.start < c.size {
+		return c.waits
+	}
+	return c.find(addr)
+}
+
+func (c *waitCursor) find(addr uint32) int {
+	for _, r := range c.key.regions {
 		if r.Contains(addr) {
-			return wt.waits[r.Slave]
+			c.start, c.size, c.waits = r.Start, r.Size, c.key.waits[r.Slave]
+			return c.waits
 		}
 	}
 	return 0
@@ -150,7 +190,7 @@ const startupLatency = 2
 // classifier for released-request idle cycles. Arbitration-policy
 // effects the walk does not replay (fixed/rr mid-sequence preemption)
 // are stationary mix shifts the prefix calibration cancels.
-func runWalk(ct *topo.Topology, scripts [][]ahb.Sequence, horizon, prefix uint64) *walkResult {
+func runWalk(k WalkKey, scripts [][]ahb.Sequence) *Walk {
 	type mstate struct {
 		seqs  []ahb.Sequence
 		next  int
@@ -160,9 +200,10 @@ func runWalk(ct *topo.Topology, scripts [][]ahb.Sequence, horizon, prefix uint64
 	for i, s := range scripts {
 		ms[i] = mstate{seqs: s}
 	}
-	wt := newWaitTable(ct)
+	horizon, prefix := k.horizon, k.prefix
+	wt := waitCursor{key: &k}
 	em := &emitter{prefix: prefix, horizon: horizon}
-	w := &walkResult{cycles: horizon}
+	w := &Walk{cycles: horizon}
 
 	em.run(power.Idle, startupLatency)
 	last := -1
@@ -205,8 +246,9 @@ func runWalk(ct *topo.Topology, scripts [][]ahb.Sequence, horizon, prefix uint64
 			w.handovers++
 		}
 		st := &ms[pick]
-		seq := st.seqs[st.next]
-		for _, op := range seq.Ops {
+		seq := &st.seqs[st.next]
+		for j := range seq.Ops {
+			op := &seq.Ops[j]
 			if em.t >= horizon {
 				break
 			}
@@ -226,10 +268,14 @@ func runWalk(ct *topo.Topology, scripts [][]ahb.Sequence, horizon, prefix uint64
 					beats = 1
 				}
 				waits := uint64(wt.at(op.Addr))
+				cost := beats * (1 + waits)
 				t0 := em.t
-				em.run(state, beats*(1+waits))
+				em.run(state, cost)
 				served := em.t - t0
-				fit := served / (1 + waits)
+				fit := beats // beats served whole; fewer only at the horizon
+				if served < cost {
+					fit = served / (1 + waits)
+				}
 				w.beats += fit
 				if fit > 0 {
 					w.nonseq++
